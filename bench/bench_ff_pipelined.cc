@@ -1,22 +1,19 @@
 /**
  * @file
- * Throughput benchmark of the pipelined parallel sampled engine
- * (runner::runSampledPipelined, DESIGN.md §15). Runs the same 2M-uop
- * SRL design point three ways — the chained serial interval loop, the
- * pipelined engine with 1 detail worker, and the pipelined engine
- * with 4 — under a ~25% detailed-coverage plan (per-interval
+ * Throughput benchmark of the sampled engine's detail-worker pool
+ * (runner::runSampledPipelined, DESIGN.md §14). Runs the same 2M-uop
+ * SRL design point with 1 detail worker and with 4 under a ~25%
+ * detailed-coverage plan (per-interval
  * 176k ff / 10k warm / 64k detail => 8 intervals at 2M uops), and
  * reports:
  *
  *   - the gated quantity: end-to-end uops covered per host second of
- *     the pipelined 4-worker run (tools/bench_gate.py tracks
+ *     the 4-worker run (tools/bench_gate.py tracks
  *     uops_per_s against the committed baseline);
  *   - the machine-readable parallel speedup of 4 workers over 1
  *     (speedup_jobs4_vs_jobs1) — the overlap the pipeline exists to
  *     buy; on a single-core host it degrades toward 1.0 and the
- *     absolute rate is what the gate holds the line on;
- *   - the chained loop's wall for context (its semantics differ, so
- *     it is informational, not the gate anchor).
+ *     absolute rate is what the gate holds the line on.
  *
  * Each phase is timed with repeatForAtLeast so sub-second runs are
  * amortized over a noise-resistant window.
@@ -49,52 +46,40 @@ main(int argc, char **argv)
 
     constexpr double kMinWindowS = 0.25;
 
-    runner::SampledResult chained, jobs1, jobs4;
-    const bench::RepeatTiming t_chained =
-        bench::repeatForAtLeast(kMinWindowS, [&] {
-            chained = runner::runSampled(cfg, suite, args.uops,
-                                         args.seed, sopts);
-        });
-
+    runner::SampledResult jobs1, jobs4;
     sopts.sample_jobs = 1;
     const bench::RepeatTiming t_jobs1 =
         bench::repeatForAtLeast(kMinWindowS, [&] {
-            jobs1 = runner::runSampled(cfg, suite, args.uops,
-                                       args.seed, sopts);
+            jobs1 = runner::runSampledPipelined(cfg, suite, args.uops,
+                                                args.seed, sopts);
         });
 
     sopts.sample_jobs = 4;
     const bench::RepeatTiming t_jobs4 =
         bench::repeatForAtLeast(kMinWindowS, [&] {
-            jobs4 = runner::runSampled(cfg, suite, args.uops,
-                                       args.seed, sopts);
+            jobs4 = runner::runSampledPipelined(cfg, suite, args.uops,
+                                                args.seed, sopts);
         });
 
-    const double chained_wall = t_chained.perIterS();
     const double jobs1_wall = t_jobs1.perIterS();
     const double jobs4_wall = t_jobs4.perIterS();
     const double speedup_4v1 =
         jobs4_wall > 0 ? jobs1_wall / jobs4_wall : 0;
-    const double speedup_vs_chained =
-        jobs4_wall > 0 ? chained_wall / jobs4_wall : 0;
 
     std::printf("ff_pipelined: %" PRIu64 " uops on %s (plan %" PRIu64
                 "/%" PRIu64 "/%" PRIu64 ", %" PRIu64 " intervals)\n",
                 args.uops, suite.name.c_str(), sopts.plan.ff_uops,
                 sopts.plan.warm_uops, sopts.plan.detail_uops,
                 jobs4.intervals_run);
-    std::printf("chained serial:    %.3f s/run (x%" PRIu64 ")\n",
-                chained_wall, t_chained.iters);
-    std::printf("pipelined 1 wkr:   %.3f s/run (x%" PRIu64
+    std::printf("1 worker:   %.3f s/run (x%" PRIu64
                 ", producer %.3f s, detail sum %.3f s)\n",
                 jobs1_wall, t_jobs1.iters, jobs1.ff_wall_s,
                 jobs1.detail_wall_s);
-    std::printf("pipelined 4 wkrs:  %.3f s/run (x%" PRIu64
+    std::printf("4 workers:  %.3f s/run (x%" PRIu64
                 ", producer %.3f s, detail sum %.3f s)\n",
                 jobs4_wall, t_jobs4.iters, jobs4.ff_wall_s,
                 jobs4.detail_wall_s);
-    std::printf("speedup: 4 wkrs vs 1 wkr %.2fx | vs chained %.2fx\n",
-                speedup_4v1, speedup_vs_chained);
+    std::printf("speedup: 4 wkrs vs 1 wkr %.2fx\n", speedup_4v1);
 
     bench::BenchTiming t;
     t.wall_s = jobs4_wall;
@@ -134,11 +119,9 @@ main(int argc, char **argv)
             "  \"uops_per_s\": %.1f,\n"
             "  \"sim_cycles\": %llu,\n"
             "  \"sim_cycles_per_s\": %.1f,\n"
-            "  \"chained_wall_s\": %.6f,\n"
             "  \"jobs1_wall_s\": %.6f,\n"
             "  \"jobs4_wall_s\": %.6f,\n"
             "  \"speedup_jobs4_vs_jobs1\": %.2f,\n"
-            "  \"speedup_vs_chained\": %.2f,\n"
             "  \"config\": {\n"
             "    \"uops_per_run\": %llu,\n"
             "    \"suites\": 1,\n"
@@ -149,8 +132,7 @@ main(int argc, char **argv)
             commit ? commit : "unknown", date, t.wall_s,
             static_cast<unsigned long long>(t.uops), t.uopsPerSec(),
             static_cast<unsigned long long>(t.sim_cycles),
-            t.simCyclesPerSec(), chained_wall, jobs1_wall, jobs4_wall,
-            speedup_4v1, speedup_vs_chained,
+            t.simCyclesPerSec(), jobs1_wall, jobs4_wall, speedup_4v1,
             static_cast<unsigned long long>(args.uops),
             static_cast<unsigned long long>(args.seed));
         std::fclose(f);

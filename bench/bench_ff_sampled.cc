@@ -1,7 +1,8 @@
 /**
  * @file
- * Throughput benchmark of the two-tier sampled-simulation driver
- * (runner::runSampled, DESIGN.md §14). Runs the same 2M-uop SRL design
+ * Throughput benchmark of the two-tier sampled-simulation engine
+ * (runner::runSampledPipelined, DESIGN.md §14, one detail worker).
+ * Runs the same 2M-uop SRL design
  * point twice — fully detailed through core::runOne, then sampled with
  * ~10% detailed coverage (per-interval plan 880k ff / 20k warm / 100k
  * detail => 2 intervals) — and reports:
@@ -47,7 +48,7 @@ main(int argc, char **argv)
     const core::RunResult detailed =
         core::runOne(cfg, suite, args.uops, args.seed);
     const auto t1 = std::chrono::steady_clock::now();
-    const runner::SampledResult sampled = runner::runSampled(
+    const runner::SampledResult sampled = runner::runSampledPipelined(
         cfg, suite, args.uops, args.seed, sopts);
     const auto t2 = std::chrono::steady_clock::now();
 

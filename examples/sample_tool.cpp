@@ -2,11 +2,17 @@
  * @file
  * Single-point sampled-simulation driver: runs one (config, suite)
  * design point under a two-tier fast-forward + detail sampling plan
- * (runner::runSampled, DESIGN.md §14) and writes a stats report with
- * the aggregate record plus one record per detailed interval.
+ * (runner::runSampledPipelined, DESIGN.md §14) and writes a stats
+ * report with the aggregate record plus one record per detailed
+ * interval.
  *
  *   sample_tool --config srl --suite SFP2K --uops 2000000 \
  *       --ff 170000 --warm 10000 --detail 20000 --out report.json
+ *
+ * Workers:
+ *   --sample-jobs N    concurrent detail workers (default 1). The
+ *                      report, trace, and digest are byte-identical at
+ *                      every N (CI diffs N=1 vs N=4).
  *
  * Checkpointing / sharding:
  *   --ckpt-dir DIR     save an srlsim-ckpt-v1 checkpoint at every
@@ -16,23 +22,15 @@
  *                      silently re-fast-forwards)
  *   --shard-count N    number of detailed intervals to run (default:
  *                      through the end of the run)
- * A shard that stops before the last interval also fast-forwards into
- * and checkpoints the next shard's entry point, so chained shards
- * cover the run with no overlap. Restore-then-run is byte-identical
- * to the straight-through run — the report of shard K..end equals the
- * tail of the full run's report, and CI diffs exactly that.
- *
- * Pipelined parallel mode (DESIGN.md §15):
- *   --sample-jobs N    run under the pipelined independent-interval
- *                      engine with N concurrent detail workers. The
- *                      report, trace, and digest are byte-identical
- *                      at every N >= 1 (CI diffs N=1 vs N=4) but
- *                      deliberately differ from the chained default
- *                      (no --sample-jobs). Incompatible with
- *                      --shard-start/--shard-count.
  *   --ckpt-keep-last K with --ckpt-dir: retain only the K most recent
  *                      interval checkpoints (0 = keep all); the shard
  *                      handoff checkpoint is always kept
+ * A shard that stops before the last interval also fast-forwards into
+ * and checkpoints the next shard's entry point, so a chain of shards
+ * covers the run with no overlap. Restore-then-run is byte-identical
+ * to the straight-through run: the interval records of shard K..end
+ * are the tail of the full run's, its final digest is the full run's,
+ * and CI diffs exactly that.
  *
  * Other options:
  *   --config NAME      base config: baseline | srl | hierarchical |
@@ -170,7 +168,8 @@ main(int argc, char **argv)
         spec.suite = suite_name;
         const core::ProcessorConfig cfg = spec.materializeConfig();
         const workload::SuiteProfile suite = spec.materializeSuite();
-        res = runner::runSampled(cfg, suite, uops, seed, sopts);
+        res = runner::runSampledPipelined(cfg, suite, uops, seed,
+                                          sopts);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;

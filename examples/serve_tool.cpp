@@ -23,10 +23,10 @@
  *   --ckpt-dir DIR     srlsim-ckpt-v1 checkpoint directory for sampled
  *                      points: shard requests restore from (and save
  *                      into) this store
- *   --sample-jobs N    detail workers per pipelined sampled point
- *                      (DESIGN.md §15); a server-side throughput knob
- *                      only — pipelined results (and cache keys) are
- *                      identical at any value (default 1)
+ *   --sample-jobs N    detail workers per sampled point (DESIGN.md
+ *                      §14); a server-side throughput knob only —
+ *                      sampled results (and cache keys) are identical
+ *                      at any value (default 1)
  *   --stats-out FILE   write the service/cache counters report
  *                      (srlsim-stats-v1) on exit
  *

@@ -44,17 +44,14 @@
  *   --ckpt-dir DIR  save an srlsim-ckpt-v1 checkpoint at each
  *                   detail-segment entry (local runs only; in --server
  *                   mode the daemon's own --ckpt-dir applies)
+ *   --sample-jobs N  concurrent detail workers per sampled point
+ *                    (default 1). Reports are byte-identical at every
+ *                    N; in --server mode the daemon picks its own
+ *                    worker count.
  * Any of --ff/--warm/--detail marks the sweep sampled: every point
- * runs under that plan (runner::runSampled) instead of fully detailed.
- * Sampling composes with --server (the plan travels in the point
- * specs) but not with --cache-dir or --trace-out.
- *   --sample-jobs N  run each sampled point under the pipelined
- *                    independent-interval engine (DESIGN.md §15) with
- *                    N concurrent detail workers per point. Reports
- *                    are byte-identical at every N >= 1. In --server
- *                    mode the spec is marked pipelined (part of the
- *                    cache key) while the daemon picks its own worker
- *                    count — results are jobs-invariant either way.
+ * runs under that plan (runner::runSampledPipelined) instead of fully
+ * detailed. Sampling composes with --server (the plan travels in the
+ * point specs) but not with --cache-dir or --trace-out.
  *
  * Traces are captured on the worker threads and are byte-identical
  * regardless of --jobs, so the CI determinism diff covers them too.
@@ -231,7 +228,6 @@ main(int argc, char **argv)
             s.ff_uops = ff_uops;
             s.warm_uops = warm_uops;
             s.detail_uops = detail_uops;
-            s.pipelined = sample_jobs > 0;
         }
     }
 
@@ -272,7 +268,7 @@ main(int argc, char **argv)
         cache_hits = client.lastCachedResults();
         cache_misses = client.lastComputedResults();
     } else if (sampled) {
-        // One runSampled task per point; runTasks derives the same
+        // One sampled task per point; runTasks derives the same
         // per-point seeds a detailed sweep would, so a sampled report
         // is comparable row-for-row with the fully detailed one.
         std::vector<runner::Task> tasks;
@@ -288,8 +284,8 @@ main(int argc, char **argv)
                 sopts.plan.detail_uops = detail_uops;
                 sopts.ckpt_dir = ckpt_dir;
                 sopts.sample_jobs = sample_jobs;
-                return runner::runSampled(p.config, p.suite, p.uops,
-                                          run_seed, sopts)
+                return runner::runSampledPipelined(
+                           p.config, p.suite, p.uops, run_seed, sopts)
                     .record;
             }});
         }

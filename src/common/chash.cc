@@ -321,7 +321,7 @@ pointKey(const core::ProcessorConfig &config,
          std::uint64_t run_seed, bool occupancy_series,
          std::uint64_t ff_uops, std::uint64_t warm_uops,
          std::uint64_t detail_uops, std::uint64_t shard_start,
-         std::uint64_t shard_count, bool pipelined)
+         std::uint64_t shard_count)
 {
     if (ff_uops == 0 && warm_uops == 0 && detail_uops == 0)
         return pointKey(config, suite, uops, run_seed,
@@ -334,15 +334,14 @@ pointKey(const core::ProcessorConfig &config,
     w.boolean("occupancy_series", occupancy_series);
     w.end("point");
     w.begin("sampling");
+    // Engine tag: sampled addresses from earlier engines (which had
+    // no tag) can never be served for this one.
+    w.str("engine", "independent-intervals-v2");
     w.u64("ff_uops", ff_uops);
     w.u64("warm_uops", warm_uops);
     w.u64("detail_uops", detail_uops);
     w.u64("shard_start", shard_start);
     w.u64("shard_count", shard_count);
-    // Folded in only when set so every chained-mode address predating
-    // the pipelined engine survives unchanged.
-    if (pipelined)
-        w.boolean("pipelined", true);
     w.end("sampling");
     std::string bytes = w.bytes();
     bytes += serializeConfig(config);

@@ -129,12 +129,8 @@ Hash128 pointKey(const core::ProcessorConfig &config,
  * Sampled-run variant: folds the sampling plan (per-interval
  * ff/warm/detail uops and the shard window) into the address. When the
  * whole plan is zero (a fully detailed run) this is exactly the plain
- * pointKey — existing cache entries keep their addresses.
- *
- * @p pipelined selects the independent-interval semantics (DESIGN.md
- * §15), whose results legitimately differ from the chained loop's —
- * so it is folded into the address, but only when true, preserving
- * every pre-existing chained-mode cache address. The pipelined worker
+ * pointKey — existing cache entries keep their addresses. Otherwise
+ * the sampling block opens with an engine tag. The detail-worker
  * count is deliberately NOT part of the key: results are
  * byte-identical at any worker count.
  */
@@ -143,8 +139,7 @@ Hash128 pointKey(const core::ProcessorConfig &config,
                  std::uint64_t uops, std::uint64_t run_seed,
                  bool occupancy_series, std::uint64_t ff_uops,
                  std::uint64_t warm_uops, std::uint64_t detail_uops,
-                 std::uint64_t shard_start, std::uint64_t shard_count,
-                 bool pipelined = false);
+                 std::uint64_t shard_start, std::uint64_t shard_count);
 
 } // namespace chash
 } // namespace srl

@@ -481,8 +481,7 @@ Processor::tryReinsertSliceHead()
     // dependent instructions must not observe temporary state.
     if (config_.model == StqModel::kSrl && !slice_active_) {
         slice_active_ = true;
-        if (!std::getenv("SRL_NO_DISCARD"))
-            beginRedoPhase();
+        beginRedoPhase();
     }
 
     sdb_.pop();

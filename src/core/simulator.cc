@@ -3,8 +3,8 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 
+#include "workload/generator.hh"
 #include "workload/prewarm.hh"
-#include "workload/stream_cache.hh"
 
 namespace srl
 {
@@ -63,15 +63,11 @@ runOne(const ProcessorConfig &config,
        const workload::SuiteProfile &suite, std::uint64_t num_uops,
        std::uint64_t seed_override, const obs::ObsConfig &obs)
 {
-    // The stream comes from the workload cache when
-    // SRLSIM_WORKLOAD_CACHE is set (CI does); otherwise it is generated
-    // inline. Identical either way — the cache just memoizes expansion.
-    const auto gen =
-        workload::openStreamEnv(suite, num_uops, seed_override);
+    workload::Generator gen(suite, num_uops, seed_override);
     ProcessorConfig cfg = config;
     if (seed_override)
         cfg.snoop_seed = splitmix64(seed_override ^ cfg.snoop_seed);
-    Processor cpu(cfg, *gen);
+    Processor cpu(cfg, gen);
 
     // Warmed-cache methodology: pre-fill the suite's cache-resident
     // regions so compulsory misses do not swamp the phase behavior the

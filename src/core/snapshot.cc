@@ -294,12 +294,32 @@ adoptSnapshotPayload(const std::string &payload,
 }
 
 std::string
-snapshotFileName(const SnapshotContext &ctx, std::uint64_t interval,
-                 bool pipelined)
+replaceSnapshotMeta(const std::string &payload, const SnapshotMeta &meta,
+                    std::string &&recycled)
+{
+    std::size_t meta_begin = 0, meta_end = 0;
+    try {
+        bytes::ByteReader r(payload);
+        deserializeContext(r);
+        meta_begin = payload.size() - r.remaining();
+        deserializeMeta(r);
+        meta_end = payload.size() - r.remaining();
+    } catch (const bytes::CodecError &e) {
+        throw SnapshotError(std::string("snapshot: malformed payload: ") +
+                            e.what());
+    }
+    bytes::ByteWriter w(std::move(recycled));
+    w.raw(payload.data(), meta_begin);
+    serializeMeta(w, meta);
+    w.raw(payload.data() + meta_end, payload.size() - meta_end);
+    return w.take();
+}
+
+std::string
+snapshotFileName(const SnapshotContext &ctx, std::uint64_t interval)
 {
     bytes::ByteWriter w;
-    w.str(pipelined ? "srlsim-ckpt-name-v1-pipelined"
-                    : "srlsim-ckpt-name-v1");
+    w.str("srlsim-ckpt-name-v1-pipelined");
     serializeContext(w, ctx);
     w.u64(interval);
     const std::string &b = w.data();

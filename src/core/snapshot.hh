@@ -211,16 +211,26 @@ LoadedSnapshot adoptSnapshotPayload(const std::string &payload,
                                     SimState &sim);
 
 /**
+ * Re-encode @p payload with @p meta in place of the meta it carries;
+ * the context, SimState and generator bytes are copied verbatim.
+ * @p recycled (possibly empty) is consumed as the output buffer. The
+ * sampled engine's producer builds a payload before the intervals
+ * ahead of it have run; this stamps their aggregate in before the
+ * payload is persisted.
+ * @throws SnapshotError on a malformed payload.
+ */
+std::string replaceSnapshotMeta(const std::string &payload,
+                                const SnapshotMeta &meta,
+                                std::string &&recycled = {});
+
+/**
  * Canonical file name of the checkpoint at detailed-interval
- * boundary @p interval of the run @p ctx: "ckpt-<32 hex>.v1".
- * Pipelined-mode entry checkpoints (independent-interval semantics,
- * DESIGN.md §15) carry different state for the same (ctx, interval)
- * than chained-mode ones, so @p pipelined salts the name — the two
- * modes can share a directory without ever colliding.
+ * boundary @p interval of the run @p ctx: "ckpt-<32 hex>.v1". The
+ * salt hashed into the name is "srlsim-ckpt-name-v1-pipelined", the
+ * one the sampled engine's entry checkpoints have always carried.
  */
 std::string snapshotFileName(const SnapshotContext &ctx,
-                             std::uint64_t interval,
-                             bool pipelined = false);
+                             std::uint64_t interval);
 
 } // namespace core
 } // namespace srl

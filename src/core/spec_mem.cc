@@ -1,7 +1,9 @@
 #include "core/spec_mem.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -16,9 +18,10 @@ namespace
 // SWAR helpers over the 16-bit writer-count lanes: a same-page store
 // span of up to 8 bytes covers up to 16 bytes of counters, so the
 // increment/decrement across the span batches into two word updates
-// with no per-byte branches. Zero-lane detection is the classic
-// carry-trick: (v - 1-per-lane) & ~v & msb-per-lane leaves the lane
-// MSB set exactly for lanes that were zero.
+// with no per-byte branches. Zero-lane detection must be exact per
+// lane: the borrow trick (v - 1-per-lane) & ~v & msb-per-lane only
+// answers "is any lane zero?" and also flags a lane holding 1 above a
+// zero lane, which would drift overlay_bytes_.
 constexpr std::uint64_t kLaneOnes = 0x0001000100010001ull;
 constexpr std::uint64_t kLaneMsbs = 0x8000800080008000ull;
 
@@ -36,11 +39,13 @@ storeWord(std::uint16_t *p, std::uint64_t w)
     std::memcpy(p, &w, 8);
 }
 
-/** MSB-per-lane set for lanes of @p w that are zero. */
+/** MSB-per-lane set for exactly the lanes of @p w that are zero. The
+ * low 15 bits of a lane plus 0x7fff carry into the lane MSB iff any of
+ * them is set, and never out of the lane. */
 inline std::uint64_t
 zeroLanes(std::uint64_t w)
 {
-    return (w - kLaneOnes) & ~w & kLaneMsbs;
+    return ~(((w & ~kLaneMsbs) + ~kLaneMsbs) | w) & kLaneMsbs;
 }
 
 /** All-ones in the low @p n 16-bit lanes (n <= 4). */
@@ -230,6 +235,7 @@ SpeculativeMemory::commitCheckpoint(CheckpointId ckpt)
                  "stores", ckpt);
     }
 #endif
+    checkOverlayCount();
 }
 
 void
@@ -242,6 +248,7 @@ SpeculativeMemory::rollback(SeqNum first_squashed_seq)
     }
     if (removed)
         rebuildOverlay();
+    checkOverlayCount();
 }
 
 void
@@ -253,6 +260,26 @@ SpeculativeMemory::rebuildOverlay()
     cache_page_.fill(nullptr);
     for (const auto &e : log_)
         applyToOverlay(e);
+}
+
+void
+SpeculativeMemory::checkOverlayCount() const
+{
+#ifndef NDEBUG
+    // Recount from the log, independently of the writer lanes: the
+    // overlaid bytes are exactly the distinct bytes the pending stores
+    // cover. read()'s overlay_bytes_ == 0 shortcut relies on this.
+    std::vector<Addr> bytes;
+    for (const auto &e : log_)
+        for (unsigned i = 0; i < e.size; ++i)
+            bytes.push_back(e.addr + i);
+    std::sort(bytes.begin(), bytes.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(bytes.begin(), bytes.end()) - bytes.begin());
+    panic_if(distinct != overlay_bytes_,
+             "overlay byte count drifted (%zu tracked, %zu pending)",
+             overlay_bytes_, distinct);
+#endif
 }
 
 } // namespace core

@@ -99,6 +99,8 @@ class SpeculativeMemory
 
     void applyToOverlay(const LogEntry &e);
     void rebuildOverlay();
+    /** Debug builds: panic unless overlay_bytes_ matches a recount. */
+    void checkOverlayCount() const;
 
     memsys::MainMemory &mem_;
     std::deque<LogEntry> log_; ///< program order, oldest first

@@ -1,29 +1,28 @@
 /**
  * @file
- * Sampled-simulation driver: interleaves functional fast-forward with
- * cycle-accurate detailed intervals (SimPoint-style systematic
+ * Sampled-simulation engine: interleaves functional fast-forward with
+ * cycle-accurate detailed intervals (SMARTS-style systematic
  * sampling) so billion-uop workloads finish in minutes instead of
  * hours.
  *
  * A run of `total_uops` is cut into intervals of
- * `ff_uops + warm_uops + detail_uops`. Each interval fast-forwards
- * the first span functionally (architectural memory only), then the
- * warm span functionally *with* cache/predictor warming, then runs the
- * detail span on the full out-of-order model against the persistent
- * SimState. Detailed-segment statistics are summed into the aggregate
- * record; the fast-forwarded spans contribute no cycles.
+ * `ff_uops + warm_uops + detail_uops`. A producer thread fast-forwards
+ * the whole stream functionally (warming caches and predictors over
+ * the warm and detail spans) and snapshots the state at every detail
+ * entry; a pool of detail workers each adopt a snapshot and run that
+ * interval on the full out-of-order model; the calling thread stitches
+ * the per-interval records in interval order. Intervals are
+ * independent: a detailed run never feeds the state of the next one,
+ * so results are byte-identical at any worker count (DESIGN.md §14).
  *
- * Checkpointing: with a checkpoint directory set, the state at each
- * detail-segment entry (post-warm) is saved as an `srlsim-ckpt-v1`
- * file, and a sharded run (`shard_start > 0`) restores that file
- * instead of re-fast-forwarding — restore-then-run is byte-identical
- * to the straight-through sampled run (stats JSON and trace), which
- * tests/test_sampled.cc and CI enforce. This lets a sweep service farm
- * the detailed intervals of one long run out to independent workers.
- *
- * Semantics note (DESIGN.md §14): external snoop traffic is
- * cycle-driven and therefore only occurs inside detailed intervals;
- * the snoop RNG cursor persists across segments via SimState.
+ * Checkpointing: with a checkpoint directory set, every detail-entry
+ * snapshot is also saved as an `srlsim-ckpt-v1` file carrying the
+ * aggregate of the intervals before it. A shard
+ * [shard_start, shard_start + shard_count) restores the file of its
+ * first interval instead of re-fast-forwarding, and a shard that stops
+ * early leaves the next shard's entry checkpoint behind, so a chain of
+ * shards reproduces the straight run (interval records, trace, final
+ * digest) byte for byte — tests/test_sampled.cc and CI enforce this.
  */
 
 #ifndef SRLSIM_RUNNER_SAMPLED_HH
@@ -88,27 +87,16 @@ struct SampledOptions
     obs::ObsConfig obs;
 
     /**
-     * Pipelined parallel execution (DESIGN.md §15). 0 (the default)
-     * keeps the chained serial interval loop above. >= 1 switches to
-     * *independent-interval* semantics: a producer thread runs the
-     * functional/warm fast-forward continuously over the whole
-     * stream, snapshotting the state at every detail-entry point into
-     * an in-memory byte buffer; a pool of this many detail workers
-     * each adopt a snapshot into a private SimState and run their
-     * interval; a stitcher assembles per-interval records in interval
-     * order. Results are byte-identical for every value >= 1 (stats
-     * JSON, trace, final digest) — but deliberately *not* identical
-     * to the chained mode, whose intervals feed each other's
-     * microarchitectural state and therefore cannot overlap.
-     * Pipelined runs do not support sharding (shard_start must be 0).
+     * Number of detail workers (0 = 1). Results are byte-identical at
+     * every value; only wall time changes.
      */
     unsigned sample_jobs = 0;
 
     /**
-     * Pipelined mode: bound on snapshots buffered between the
-     * producer and the detail workers. The producer blocks when the
-     * queue is full (backpressure), so a slow worker pool never makes
-     * the run accumulate unbounded state. 0 = 2 * sample_jobs + 2.
+     * Bound on snapshots buffered between the producer and the detail
+     * workers. The producer blocks when the queue is full
+     * (backpressure), so a slow worker pool never makes the run
+     * accumulate unbounded state. 0 = 2 * sample_jobs + 2.
      */
     std::size_t queue_capacity = 0;
 
@@ -121,7 +109,7 @@ struct SampledOptions
     std::uint64_t ckpt_keep_last = 0;
 
     /**
-     * Test-only hook, pipelined mode: a detail worker invokes this
+     * Test-only hook: a detail worker invokes this
      * with the interval number just before simulating it. Used to
      * inject slow (or failing) workers in the backpressure stress
      * tests. Must be thread-safe; an exception thrown here aborts the
@@ -150,11 +138,10 @@ struct SampledResult
     std::uint64_t intervals_run = 0;
 
     /**
-     * Host wall-clock split (seconds). In pipelined mode ff_wall_s is
-     * the producer thread's total wall (fast-forward + snapshot
-     * serialization) and detail_wall_s is the *sum* of per-worker
-     * interval walls; the two overlap, so they exceed the end-to-end
-     * wall time by design.
+     * Host wall-clock split (seconds): ff_wall_s is the producer
+     * thread's total wall (fast-forward + snapshot serialization) and
+     * detail_wall_s is the *sum* of per-worker interval walls; the two
+     * overlap, so they exceed the end-to-end wall time by design.
      */
     double ff_wall_s = 0.0;
     double detail_wall_s = 0.0;
@@ -170,26 +157,10 @@ struct SampledResult
  * Run (config, suite) for @p total_uops under the sampling plan in
  * @p opts. Seed semantics match core::runOne: non-zero
  * @p seed_override replaces the suite's workload seed and re-keys the
- * snoop stream. Throws core::SnapshotError on checkpoint problems and
- * std::invalid_argument on a malformed plan/shard.
- *
- * With opts.sample_jobs >= 1 this dispatches to
- * runSampledPipelined().
- */
-SampledResult runSampled(const core::ProcessorConfig &config,
-                         const workload::SuiteProfile &suite,
-                         std::uint64_t total_uops,
-                         std::uint64_t seed_override,
-                         const SampledOptions &opts);
-
-/**
- * Pipelined, multi-worker sampled run (independent-interval
- * semantics, DESIGN.md §15): fast-forward producer + sample_jobs
- * detail workers + in-order stitcher. opts.sample_jobs of 0 is
- * treated as 1. Results are byte-identical across every worker
- * count; runSampled() dispatches here when opts.sample_jobs >= 1.
- * @throws std::invalid_argument on a malformed plan or a sharded
- * request (pipelined runs cover the whole run).
+ * snoop stream. Throws core::SnapshotError on checkpoint problems
+ * (including a shard whose entry checkpoint is missing),
+ * std::invalid_argument on a malformed plan or shard, and rethrows the
+ * first producer or worker failure.
  */
 SampledResult runSampledPipelined(const core::ProcessorConfig &config,
                                   const workload::SuiteProfile &suite,

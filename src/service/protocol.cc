@@ -96,8 +96,6 @@ PointSpec::toJson() const
     if (shard_count)
         v.set("shard_count",
               json::Value::number(static_cast<double>(shard_count)));
-    if (pipelined)
-        v.set("pipelined", json::Value::boolean(true));
     return v;
 }
 
@@ -128,7 +126,6 @@ PointSpec::fromJson(const json::Value &v)
     p.detail_uops = v.getU64("detail_uops", 0);
     p.shard_start = v.getU64("shard_start", 0);
     p.shard_count = v.getU64("shard_count", 0);
-    p.pipelined = v.getBool("pipelined", false);
     return p;
 }
 

@@ -74,8 +74,9 @@ struct PointSpec
 
     /**
      * Sampled-run plan (all zero = fully detailed, the default). When
-     * sampled(), the service runs the point through runner::runSampled
-     * with this per-interval ff/warm/detail budget; shard_start /
+     * sampled(), the service runs the point through
+     * runner::runSampledPipelined with this per-interval
+     * ff/warm/detail budget; shard_start /
      * shard_count select a slice of the detailed intervals
      * (shard_count 0 = all remaining), served from the daemon's
      * checkpoint directory.
@@ -85,17 +86,6 @@ struct PointSpec
     std::uint64_t detail_uops = 0;
     std::uint64_t shard_start = 0;
     std::uint64_t shard_count = 0;
-
-    /**
-     * Request pipelined independent-interval sampling semantics
-     * (DESIGN.md §15) instead of the chained interval loop. Changes
-     * the results — so it is part of the cache key — but the *worker
-     * count* the daemon uses is a server-side knob
-     * (ServiceOptions::sample_jobs): pipelined results are
-     * byte-identical at any worker count, so the count never appears
-     * on the wire or in the key. Incompatible with a shard window.
-     */
-    bool pipelined = false;
 
     bool
     sampled() const

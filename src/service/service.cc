@@ -97,8 +97,7 @@ SweepService::runJob(Job job)
                               job.spec.ff_uops, job.spec.warm_uops,
                               job.spec.detail_uops,
                               job.spec.shard_start,
-                              job.spec.shard_count,
-                              job.spec.pipelined);
+                              job.spec.shard_count);
         const PointSpec &spec = job.spec;
         const std::string &ckpt_dir = opts_.ckpt_dir;
         const unsigned sample_jobs = opts_.sample_jobs;
@@ -116,12 +115,10 @@ SweepService::runJob(Job job)
                     if (spec.shard_count)
                         sopts.shard_count = spec.shard_count;
                     // Worker count is a daemon knob, never part of
-                    // the key: pipelined results are jobs-invariant.
-                    if (spec.pipelined)
-                        sopts.sample_jobs =
-                            sample_jobs ? sample_jobs : 1;
-                    return runner::runSampled(cfg, suite, uops,
-                                              run_seed, sopts)
+                    // the key: sampled results are jobs-invariant.
+                    sopts.sample_jobs = sample_jobs;
+                    return runner::runSampledPipelined(
+                               cfg, suite, uops, run_seed, sopts)
                         .record;
                 }
                 const core::RunResult r =

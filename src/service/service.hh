@@ -65,11 +65,10 @@ struct ServiceOptions
      */
     std::string ckpt_dir;
     /**
-     * Detail-worker count for pipelined sampled points
-     * (PointSpec::pipelined): how many concurrent detailed intervals
-     * one pipelined run uses. Purely a server-side throughput knob —
-     * pipelined results are byte-identical at any value, so it is not
-     * part of the cache key. 0 = 1 (serial pipelined).
+     * Detail-worker count for sampled points: how many concurrent
+     * detailed intervals one sampled run uses. Purely a server-side
+     * throughput knob — sampled results are byte-identical at any
+     * value, so it is not part of the cache key. 0 = 1.
      */
     unsigned sample_jobs = 0;
 };

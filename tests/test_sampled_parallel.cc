@@ -1,9 +1,9 @@
 /**
  * @file
- * Jobs-invariance contract for the pipelined sampled engine
- * (runner::runSampledPipelined, DESIGN.md §15).
+ * Jobs-invariance contract for the sampled engine
+ * (runner::runSampledPipelined, DESIGN.md §14).
  *
- * The pipelined mode's core promise is that the worker count is
+ * The engine's core promise is that the worker count is
  * invisible in the results: stats JSON (aggregate + per-interval
  * rows), the srlsim-trace-v1 trace, and the final-state digest are
  * byte-identical at --sample-jobs 1, 2, and 4, across every golden
@@ -96,7 +96,7 @@ goldenConfigs()
     cfgs.emplace_back("deep-miss", std::move(deep));
 
     // External snoops force load-tracking violations and rollbacks —
-    // in pipelined mode every interval draws them from its own
+    // every sampled interval draws them from its own
     // derived RNG cursor, which must make them jobs-invariant.
     core::ProcessorConfig snoopy = core::srlConfig();
     snoopy.name = "srl-rollback-heavy";
@@ -140,7 +140,7 @@ TEST(SampledParallel, ResultsAreByteIdenticalAcrossWorkerCounts)
         opts.trace_interval = 3;
         opts.sample_jobs = 1;
         const auto r1 =
-            runner::runSampled(cfg, suite, kTotal, kSeed, opts);
+            runner::runSampledPipelined(cfg, suite, kTotal, kSeed, opts);
         ASSERT_EQ(r1.intervals_run, 5u);
         ASSERT_FALSE(r1.trace_json.empty());
 
@@ -148,7 +148,7 @@ TEST(SampledParallel, ResultsAreByteIdenticalAcrossWorkerCounts)
             SCOPED_TRACE(jobs);
             opts.sample_jobs = jobs;
             const auto rn =
-                runner::runSampled(cfg, suite, kTotal, kSeed, opts);
+                runner::runSampledPipelined(cfg, suite, kTotal, kSeed, opts);
             EXPECT_EQ(reportJson(r1), reportJson(rn));
             EXPECT_EQ(r1.trace_json, rn.trace_json);
             EXPECT_EQ(r1.final_digest.lo, rn.final_digest.lo);
@@ -165,8 +165,10 @@ TEST(SampledParallel, PipelinedIsRepeatable)
     const core::ProcessorConfig cfg = core::srlConfig();
     runner::SampledOptions opts = planOpts();
     opts.sample_jobs = 4;
-    const auto a = runner::runSampled(cfg, suite, kTotal, kSeed, opts);
-    const auto b = runner::runSampled(cfg, suite, kTotal, kSeed, opts);
+    const auto a =
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, opts);
+    const auto b =
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, opts);
     EXPECT_EQ(reportJson(a), reportJson(b));
     EXPECT_EQ(a.final_digest.lo, b.final_digest.lo);
     EXPECT_EQ(a.final_digest.hi, b.final_digest.hi);
@@ -183,7 +185,7 @@ TEST(SampledParallel, BackpressureAndSlowWorkersChangeNothing)
     runner::SampledOptions ref = planOpts();
     ref.sample_jobs = 1;
     const auto r_ref =
-        runner::runSampled(cfg, suite, kTotal, kSeed, ref);
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, ref);
 
     runner::SampledOptions stressed = planOpts();
     stressed.sample_jobs = 2;
@@ -194,7 +196,7 @@ TEST(SampledParallel, BackpressureAndSlowWorkersChangeNothing)
                 std::chrono::milliseconds(20));
     };
     const auto r_stressed =
-        runner::runSampled(cfg, suite, kTotal, kSeed, stressed);
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, stressed);
 
     EXPECT_EQ(reportJson(r_ref), reportJson(r_stressed));
     EXPECT_EQ(r_ref.final_digest.lo, r_stressed.final_digest.lo);
@@ -203,10 +205,11 @@ TEST(SampledParallel, BackpressureAndSlowWorkersChangeNothing)
 
 TEST(SampledParallel, OnDiskCheckpointsMatchInMemoryPayloads)
 {
-    // --ckpt-dir in pipelined mode persists the same payload bytes
-    // that travel through the in-memory queue: loading a saved file
-    // and re-serializing the restored state must reproduce the file's
-    // own digest, and writing checkpoints must not perturb results.
+    // --ckpt-dir persists the entry payloads that travel through the
+    // in-memory queue, stamped with the aggregate of the intervals
+    // before them: loading a saved file and re-serializing the
+    // restored state must reproduce the file's own digest, and writing
+    // checkpoints must not perturb results.
     const auto suite = workload::suiteProfile("SFP2K");
     const core::ProcessorConfig cfg = core::srlConfig();
     TempDir dir;
@@ -214,13 +217,13 @@ TEST(SampledParallel, OnDiskCheckpointsMatchInMemoryPayloads)
     runner::SampledOptions plain = planOpts();
     plain.sample_jobs = 2;
     const auto r_plain =
-        runner::runSampled(cfg, suite, kTotal, kSeed, plain);
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, plain);
 
     runner::SampledOptions saving = planOpts();
     saving.sample_jobs = 2;
     saving.ckpt_dir = dir.path;
     const auto r_saving =
-        runner::runSampled(cfg, suite, kTotal, kSeed, saving);
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, saving);
     ASSERT_EQ(r_saving.ckpts_saved.size(), 5u);
 
     EXPECT_EQ(reportJson(r_plain), reportJson(r_saving));
@@ -232,16 +235,13 @@ TEST(SampledParallel, OnDiskCheckpointsMatchInMemoryPayloads)
         plain.plan.warm_uops, plain.plan.detail_uops);
     for (std::uint64_t k = 0; k < r_saving.ckpts_saved.size(); ++k) {
         SCOPED_TRACE(k);
-        // Pipelined checkpoints use the salted name, so the two modes
-        // can share one directory without collisions.
         EXPECT_EQ(r_saving.ckpts_saved[k],
-                  dir.path + "/" +
-                      core::snapshotFileName(ctx, k,
-                                             /*pipelined=*/true));
+                  dir.path + "/" + core::snapshotFileName(ctx, k));
         core::SimState sim(cfg);
         const core::LoadedSnapshot loaded = core::loadSnapshot(
             r_saving.ckpts_saved[k], ctx, sim);
         EXPECT_EQ(loaded.meta.next_interval, k);
+        EXPECT_EQ(loaded.meta.detail_done, k * plain.plan.detail_uops);
         // Round-trip: in-memory re-serialization of the restored
         // state reproduces the on-disk payload digest bit for bit.
         const chash::Hash128 again = core::snapshotDigest(
@@ -262,7 +262,7 @@ TEST(SampledParallel, RetentionKeepsOnlyTheRequestedTail)
     opts.ckpt_dir = dir.path;
     opts.ckpt_keep_last = 2;
     const auto res =
-        runner::runSampled(cfg, suite, kTotal, kSeed, opts);
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, opts);
     ASSERT_EQ(res.ckpts_saved.size(), 5u);
 
     // Only the last two interval checkpoints survive; the pruned ones
@@ -285,31 +285,16 @@ TEST(SampledParallel, RetentionKeepsOnlyTheRequestedTail)
     }
 }
 
-TEST(SampledParallel, PipelinedRejectsShardingAndEmptyPlans)
+TEST(SampledParallel, RejectsEmptyPlans)
 {
     const auto suite = workload::suiteProfile("SFP2K");
     const core::ProcessorConfig cfg = core::srlConfig();
 
-    runner::SampledOptions sharded = planOpts();
-    sharded.sample_jobs = 2;
-    sharded.shard_start = 1;
-    // Sharding is the chained loop's distribution mechanism; the
-    // pipelined engine refuses it instead of silently ignoring it.
-    EXPECT_THROW(
-        runner::runSampled(cfg, suite, kTotal, kSeed, sharded),
-        std::invalid_argument);
-
-    runner::SampledOptions windowed = planOpts();
-    windowed.sample_jobs = 2;
-    windowed.shard_count = 2;
-    EXPECT_THROW(
-        runner::runSampled(cfg, suite, kTotal, kSeed, windowed),
-        std::invalid_argument);
-
     runner::SampledOptions empty;
     empty.sample_jobs = 2;
-    EXPECT_THROW(runner::runSampled(cfg, suite, kTotal, kSeed, empty),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, empty),
+        std::invalid_argument);
 }
 
 TEST(SampledParallel, WorkerFailurePropagatesAsAnException)
@@ -327,7 +312,7 @@ TEST(SampledParallel, WorkerFailurePropagatesAsAnException)
         if (interval == 2)
             throw std::runtime_error("injected worker failure");
     };
-    EXPECT_THROW(runner::runSampled(cfg, suite, kTotal, kSeed, opts),
+    EXPECT_THROW(runner::runSampledPipelined(cfg, suite, kTotal, kSeed, opts),
                  std::runtime_error);
 }
 

@@ -8,18 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <vector>
 
 #include "core/simulator.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
-#include "workload/stream_cache.hh"
 
 namespace
 {
@@ -195,95 +189,6 @@ TEST(SequenceStreamTest, ReplaysVectorOnce)
         EXPECT_EQ(u.seq, static_cast<SeqNum>(i));
     }
     EXPECT_FALSE(s.next(u));
-}
-
-// Field-wise uop equality (memcmp would compare padding bytes, which
-// member-wise assignment legitimately leaves behind).
-::testing::AssertionResult
-uopsEqual(const isa::Uop &a, const isa::Uop &b)
-{
-    if (a.seq == b.seq && a.pc == b.pc && a.cls == b.cls &&
-        a.dst == b.dst && a.src1 == b.src1 && a.src2 == b.src2 &&
-        a.effAddr == b.effAddr && a.memSize == b.memSize &&
-        a.storeData == b.storeData && a.taken == b.taken &&
-        a.target == b.target)
-        return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << a.toString() << " != " << b.toString();
-}
-
-// The on-disk stream cache must be semantically invisible: cold (write)
-// and warm (replay) opens both produce the generator's exact sequence.
-TEST(StreamCache, ReplayMatchesGeneratorExactly)
-{
-    char dir_tmpl[] = "/tmp/srlsim-wlcache-XXXXXX";
-    ASSERT_NE(mkdtemp(dir_tmpl), nullptr);
-    const std::string dir = dir_tmpl;
-
-    const auto profile = workload::suiteProfile("SFP2K");
-    constexpr std::uint64_t kUops = 5000;
-
-    workload::Generator ref(profile, kUops);
-    std::vector<isa::Uop> expect;
-    isa::Uop u;
-    while (ref.next(u))
-        expect.push_back(u);
-
-    for (const char *pass : {"cold", "warm"}) {
-        SCOPED_TRACE(pass);
-        auto s = workload::openStream(profile, kUops, 0, dir);
-        std::size_t i = 0;
-        while (s->next(u)) {
-            ASSERT_LT(i, expect.size());
-            ASSERT_TRUE(uopsEqual(u, expect[i]))
-                << "uop " << i << " diverges from the generator";
-            ++i;
-        }
-        EXPECT_EQ(i, expect.size());
-    }
-
-    // The warm pass must have hit the file written by the cold pass.
-    const std::string path = dir + "/SFP2K-" +
-                             std::to_string(profile.seed) + "-" +
-                             std::to_string(kUops) + ".uops";
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << "cache file was not created: " << path;
-    std::fclose(f);
-    std::remove(path.c_str());
-    rmdir(dir.c_str());
-}
-
-// A stale or foreign cache file must be ignored, not misread.
-TEST(StreamCache, CorruptFileFallsBackToGenerator)
-{
-    char dir_tmpl[] = "/tmp/srlsim-wlcache-XXXXXX";
-    ASSERT_NE(mkdtemp(dir_tmpl), nullptr);
-    const std::string dir = dir_tmpl;
-
-    const auto profile = workload::suiteProfile("MM");
-    constexpr std::uint64_t kUops = 1000;
-    const std::string path = dir + "/MM-" +
-                             std::to_string(profile.seed) + "-" +
-                             std::to_string(kUops) + ".uops";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a stream cache file", f);
-    std::fclose(f);
-
-    workload::Generator ref(profile, kUops);
-    auto s = workload::openStream(profile, kUops, 0, dir);
-    isa::Uop a, b;
-    std::uint64_t n = 0;
-    while (ref.next(a)) {
-        ASSERT_TRUE(s->next(b));
-        ASSERT_TRUE(uopsEqual(a, b));
-        ++n;
-    }
-    EXPECT_FALSE(s->next(b));
-    EXPECT_EQ(n, kUops);
-
-    std::remove(path.c_str());
-    rmdir(dir.c_str());
 }
 
 TEST(Reference, ExecutesInOrder)
