@@ -443,6 +443,13 @@ struct TinyParam
     unsigned load_buffer;
 };
 
+// Without this gtest prints the raw bytes, name pointer included, so the
+// discovered test names would change with every address-space layout.
+void PrintTo(const TinyParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 class TinyMachine : public ::testing::TestWithParam<TinyParam>
 {
 };
