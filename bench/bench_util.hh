@@ -8,14 +8,13 @@
  * references are approximate).
  */
 
-#ifndef SRLSIM_BENCH_BENCH_UTIL_HH
-#define SRLSIM_BENCH_BENCH_UTIL_HH
+#ifndef SRLSIM_BENCHUTIL_HH
+#define SRLSIM_BENCHUTIL_HH
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,6 @@ struct BenchArgs
         workload::suiteProfiles();
     unsigned jobs = 0;        ///< sweep workers; 0 = all hardware threads
     std::uint64_t seed = 0;   ///< 0 = each suite's canonical seed
-    std::string json_out;     ///< write a machine-readable summary here
 };
 
 inline BenchArgs
@@ -52,13 +50,10 @@ parseArgs(int argc, char **argv)
                 static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
             args.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--json-out") == 0 &&
-                   i + 1 < argc) {
-            args.json_out = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--uops N] [--suite NAME] "
-                         "[--jobs N] [--seed S] [--json-out FILE]\n",
+                         "[--jobs N] [--seed S]\n",
                          argv[0]);
             std::exit(1);
         }
@@ -109,45 +104,6 @@ printRow(const std::string &label, const std::vector<double> &values)
     std::printf("\n");
 }
 
-/** What repeatForAtLeast measured. */
-struct RepeatTiming
-{
-    double total_s = 0;       ///< cumulative wall time of all iterations
-    std::uint64_t iters = 0;  ///< iterations run (always >= 1)
-
-    /** Mean per-iteration wall time — the reported quantity. */
-    double
-    perIterS() const
-    {
-        return iters ? total_s / static_cast<double>(iters) : 0;
-    }
-};
-
-/**
- * De-flake helper for fast phases: repeat @p fn until the cumulative
- * wall time reaches @p min_total_s (at least one iteration, at most
- * @p max_iters), and report the mean per-iteration time. A single
- * sub-millisecond measurement is dominated by scheduler noise on
- * shared CI runners — min-of-N helps but still samples the noise
- * floor; amortizing over a >= 50 ms window times the work itself.
- */
-template <typename Fn>
-inline RepeatTiming
-repeatForAtLeast(double min_total_s, Fn &&fn,
-                 std::uint64_t max_iters = 100000)
-{
-    RepeatTiming t;
-    while (t.iters == 0 ||
-           (t.total_s < min_total_s && t.iters < max_iters)) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        t.total_s += std::chrono::duration<double>(t1 - t0).count();
-        ++t.iters;
-    }
-    return t;
-}
-
 /** Model-throughput summary of one timed sweep. */
 struct BenchTiming
 {
@@ -175,72 +131,16 @@ printTiming(const BenchTiming &t)
 }
 
 /**
- * Write a self-describing JSON summary of a timed sweep, the input to
- * tools/bench_gate.py. The commit stamp is the source tree's HEAD,
- * baked in at configure time (SRLSIM_GIT_HEAD), so a regenerated
- * baseline records the commit that actually produced it; an explicit
- * $SRLSIM_COMMIT overrides it, and "unknown" covers builds from
- * outside a git checkout.
- */
-inline void
-writeBenchJson(const std::string &path, const char *bench,
-               const BenchTiming &t, const BenchArgs &args)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
-    const char *commit = std::getenv("SRLSIM_COMMIT");
-#ifdef SRLSIM_GIT_HEAD
-    if (!commit)
-        commit = SRLSIM_GIT_HEAD;
-#endif
-    char date[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    if (gmtime_r(&now, &tm_utc))
-        std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"commit\": \"%s\",\n"
-                 "  \"date\": \"%s\",\n"
-                 "  \"wall_s\": %.6f,\n"
-                 "  \"uops\": %llu,\n"
-                 "  \"uops_per_s\": %.1f,\n"
-                 "  \"sim_cycles\": %llu,\n"
-                 "  \"sim_cycles_per_s\": %.1f,\n"
-                 "  \"config\": {\n"
-                 "    \"uops_per_run\": %llu,\n"
-                 "    \"suites\": %zu,\n"
-                 "    \"jobs\": %u,\n"
-                 "    \"seed\": %llu\n"
-                 "  }\n"
-                 "}\n",
-                 bench, commit ? commit : "unknown", date, t.wall_s,
-                 static_cast<unsigned long long>(t.uops), t.uopsPerSec(),
-                 static_cast<unsigned long long>(t.sim_cycles),
-                 t.simCyclesPerSec(),
-                 static_cast<unsigned long long>(args.uops),
-                 args.suites.size(), args.jobs,
-                 static_cast<unsigned long long>(args.seed));
-    std::fclose(f);
-}
-
-/**
  * Run configs x suites through the sweep runner (all points in one
  * parallel batch, baseline included) and print one row per
  * non-baseline config as percent speedup over configs[0], followed by
- * a timing footer. With --json-out, also writes the machine-readable
- * summary consumed by the CI perf gate.
+ * a timing footer.
  */
 inline void
 runAndPrintSpeedups(
     const std::vector<std::pair<std::string, core::ProcessorConfig>>
         &configs,
-    const BenchArgs &args, const char *bench_name = "bench")
+    const BenchArgs &args)
 {
     const auto points =
         runner::matrixPoints(configs, args.suites, args.uops);
@@ -266,11 +166,9 @@ runAndPrintSpeedups(
         t.sim_cycles += static_cast<std::uint64_t>(r.metric("cycles"));
     }
     printTiming(t);
-    if (!args.json_out.empty())
-        writeBenchJson(args.json_out, bench_name, t, args);
 }
 
 } // namespace bench
 } // namespace srl
 
-#endif // SRLSIM_BENCH_BENCH_UTIL_HH
+#endif // SRLSIM_BENCHUTIL_HH

@@ -34,6 +34,6 @@ main(int argc, char **argv)
             {"Hierarchical STQ", core::hierarchicalConfig()},
             {"Ideal STQ", core::idealConfig()},
         };
-    bench::runAndPrintSpeedups(configs, args, "fig6_srl_performance");
+    bench::runAndPrintSpeedups(configs, args);
     return 0;
 }

@@ -11,17 +11,15 @@
  * the whole exploration takes roughly one simulation's wall-clock per
  * hardware thread.
  *
- * Usage: design_space [suite] [uops] [jobs] [--json-out FILE]
+ * Usage: design_space [suite] [uops] [jobs]
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
+#include "core/simulator.hh"
 #include "runner/sweep.hh"
 
 using namespace srl;
@@ -51,23 +49,12 @@ report(const stats::RunRecord &r, double base_ipc)
 int
 main(int argc, char **argv)
 {
-    // Positional args, plus an optional --json-out FILE anywhere.
-    std::string json_out;
-    std::vector<const char *> pos;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-            json_out = argv[++i];
-        } else {
-            pos.push_back(argv[i]);
-        }
-    }
-    const std::string suite_name = pos.size() > 0 ? pos[0] : "SFP2K";
+    const std::string suite_name = argc > 1 ? argv[1] : "SFP2K";
     const std::uint64_t uops =
-        pos.size() > 1 ? std::strtoull(pos[1], nullptr, 10) : 150000;
+        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 150000;
     const unsigned jobs =
-        pos.size() > 2
-            ? static_cast<unsigned>(std::strtoul(pos[2], nullptr, 10))
-            : 0;
+        argc > 3 ? static_cast<unsigned>(std::strtoul(argv[3], nullptr, 10))
+                 : 0;
     const auto suite = workload::suiteProfile(suite_name);
 
     std::printf("SRL design space on %s (%llu uops)\n",
@@ -135,9 +122,7 @@ main(int argc, char **argv)
 
     runner::SweepOptions opts;
     opts.jobs = jobs;
-    const auto t0 = std::chrono::steady_clock::now();
     const auto rep = runner::runSweep(points, opts);
-    const auto t1 = std::chrono::steady_clock::now();
 
     const stats::RunRecord &base = rep.runs[0];
     if (base.failed()) {
@@ -155,27 +140,6 @@ main(int argc, char **argv)
         std::printf("\n== %s ==\n", sections[si].first);
         for (std::size_t i = sections[si].second; i < end; ++i)
             report(rep.runs[i], base_ipc);
-    }
-
-    if (!json_out.empty()) {
-        // Same summary shape the bench binaries emit, so the CI perf
-        // gate can check this sweep (which, unlike fig6 at --jobs 1,
-        // exercises the multi-threaded runner) with the same tool.
-        bench::BenchTiming t;
-        t.wall_s = std::chrono::duration<double>(t1 - t0).count();
-        for (const auto &r : rep.runs) {
-            if (r.failed())
-                continue;
-            t.uops += static_cast<std::uint64_t>(r.metric("uops"));
-            t.sim_cycles +=
-                static_cast<std::uint64_t>(r.metric("cycles"));
-        }
-        bench::BenchArgs meta;
-        meta.uops = uops;
-        meta.suites = {suite};
-        meta.jobs = jobs;
-        meta.seed = 0;
-        bench::writeBenchJson(json_out, "design_space", t, meta);
     }
     return 0;
 }

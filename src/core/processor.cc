@@ -2261,39 +2261,8 @@ Processor::run(std::uint64_t max_cycles)
     while (!done() && now_ < max_cycles) {
         const IdleCounters before = captureIdleCounters();
         tick();
-#ifdef SRLSIM_SKIP_CHECK
-        if (!tick_progress_) {
-            Cycle wake = last_commit_cycle_ + config_.watchdog_cycles;
-            if (!events_.empty())
-                wake = std::min(wake, events_.top().cycle);
-            if (now_ <= fetch_resume_ &&
-                fetch_block_branch_ == kInvalidSeqNum)
-                wake = std::min(wake, fetch_resume_);
-            wake = std::min<Cycle>(wake, max_cycles);
-            while (!done() && now_ < max_cycles && !tick_progress_) {
-                const Cycle c = now_;
-                tick();
-                if (tick_progress_ && c < wake) {
-                    std::fprintf(
-                        stderr,
-                        "SKIPBUG: progress at cycle %llu, wake %llu "
-                        "(events %zu, fetch_resume %llu, blockbr %llu, "
-                        "win %zu alloc %zu stq %zu sdb %zu srl %zu)\n",
-                        (unsigned long long)c, (unsigned long long)wake,
-                        events_.size(),
-                        (unsigned long long)fetch_resume_,
-                        (unsigned long long)fetch_block_branch_,
-                        window_.size(), (std::size_t)alloc_index_,
-                        stq_->size(), sdb_.size(),
-                        srl_ ? srl_->size() : 0);
-                    std::abort();
-                }
-            }
-        }
-#else
         if (!tick_progress_)
             skipQuiescentCycles(before, max_cycles);
-#endif
     }
     return stats_;
 }

@@ -88,9 +88,8 @@ class SpeculativeMemory
     struct OverlayPage
     {
         std::array<std::uint8_t, kPageBytes> value{};
-        /** Per-byte pending-writer count; 16-bit lanes so a span's
-         * counters batch into whole-word SWAR updates (the count is
-         * bounded by in-flight stores, far below 65535). */
+        /** Per-byte pending-writer count (bounded by in-flight
+         * stores, far below 65535). */
         std::array<std::uint16_t, kPageBytes> writers{};
     };
 

@@ -573,6 +573,11 @@ runSampledPipelined(const core::ProcessorConfig &config,
 
                 out.wall_s = secondsSince(t0);
                 out.stats = s;
+                // Skip-ahead is a host strategy (chash leaves it out
+                // too), and a traced interval never skips, so its
+                // count stays out of the checkpointed aggregate and
+                // the final digest.
+                out.stats.skipped_cycles = 0;
                 out.occupancy = cpu.srlOccupancy();
                 out.taken = seg.taken();
                 if (rec) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/random.hh"
 #include "lsq/store_id.hh"
 #include "lsq/store_queue.hh"
 
@@ -202,6 +206,168 @@ TEST(StoreQueue, CamActivityCounters)
     q.forward(10, 0x100, 8);
     EXPECT_EQ(q.searches.value(), 1u);
     EXPECT_EQ(q.entriesSearched.value(), 2u);
+}
+
+/**
+ * Reference store queue: a plain seq-sorted vector of entries searched
+ * youngest-first, with no head offset and no scan lanes.
+ */
+struct NaiveStq
+{
+    std::vector<StoreQueueEntry> q;
+
+    StoreQueueEntry *
+    find(SeqNum seq)
+    {
+        for (auto &e : q)
+            if (e.seq == seq)
+                return &e;
+        return nullptr;
+    }
+
+    /** The forward() result and the number of entries visited. */
+    std::pair<ForwardResult, std::uint64_t>
+    forward(SeqNum load_seq, Addr addr, std::uint8_t size) const
+    {
+        ForwardResult r;
+        std::uint64_t searched = 0;
+        for (auto it = q.rbegin(); it != q.rend(); ++it) {
+            const StoreQueueEntry &e = *it;
+            if (e.seq >= load_seq)
+                continue;
+            ++searched;
+            if (!e.addr_valid || !bytesOverlap(e.addr, e.size, addr, size))
+                continue;
+            r.store_seq = e.seq;
+            r.store_id = e.id;
+            if (e.data_valid && !e.poisoned &&
+                bytesCover(e.addr, e.size, addr, size)) {
+                r.outcome = ForwardOutcome::kForward;
+                const std::uint64_t v = e.data >> (8 * (addr - e.addr));
+                r.data = size >= 8 ? v : v & ((1ull << (8 * size)) - 1);
+            } else {
+                r.outcome = ForwardOutcome::kBlocked;
+            }
+            break;
+        }
+        return {r, searched};
+    }
+};
+
+/**
+ * Seeded differential test of the SoA scan lanes and the amortized
+ * head offset against NaiveStq, across age-ordered allocation, fully
+ * formed pushes, address/data writes, poisoning, drains past the
+ * compaction threshold and squashes. Addresses come from a small
+ * range so loads see forwards, blocks and misses alike.
+ */
+TEST(StoreQueue, MatchesNaiveLinearScanUnderRandomOps)
+{
+    static constexpr std::uint8_t kSizes[] = {1, 2, 4, 8};
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Random rng(seed);
+        StoreQueue q({"t", 64, 3});
+        NaiveStq ref;
+        SeqNum next = 10;
+        std::uint64_t searched = 0;
+        const auto addr = [&] { return Addr{0x100} + rng.below(24); };
+        const auto live = [&] {
+            return ref.q[rng.below(static_cast<std::uint32_t>(
+                ref.q.size()))].seq;
+        };
+        for (int op = 0; op < 6000; ++op) {
+            const std::uint64_t r = rng.below(100);
+            if (r < 25 && !q.full()) {
+                // Mostly at the tail; sometimes into a free seq gap
+                // behind it, as a re-inserted slice store does.
+                SeqNum seq = next;
+                if (!ref.q.empty() && rng.below(4) == 0) {
+                    seq = ref.q.front().seq + rng.below(static_cast<
+                              std::uint32_t>(next - ref.q.front().seq));
+                    if (ref.find(seq))
+                        continue;
+                } else {
+                    next += 1 + rng.below(3);
+                }
+                const StoreId sid{static_cast<std::uint32_t>(seq), false,
+                                  seq};
+                q.allocate(seq, sid, 0);
+                StoreQueueEntry e;
+                e.seq = seq;
+                e.id = sid;
+                e.ckpt = 0;
+                ref.q.insert(std::lower_bound(ref.q.begin(), ref.q.end(),
+                                              e,
+                                              [](const auto &x,
+                                                 const auto &y) {
+                                                  return x.seq < y.seq;
+                                              }),
+                             e);
+            } else if (r < 30 && !q.full()) {
+                StoreQueueEntry e;
+                e.seq = next;
+                e.id = {static_cast<std::uint32_t>(next), false, next};
+                e.addr = addr();
+                e.size = kSizes[rng.below(4)];
+                e.data = rng.next64();
+                e.addr_valid = rng.below(4) != 0;
+                e.data_valid = rng.below(4) != 0;
+                next += 1 + rng.below(3);
+                q.pushEntry(e);
+                ref.q.push_back(e);
+            } else if (r < 45 && !ref.q.empty()) {
+                const SeqNum seq = live();
+                const Addr a = addr();
+                const std::uint8_t size = kSizes[rng.below(4)];
+                const std::uint64_t data = rng.next64();
+                q.writeAddrData(seq, a, size, data);
+                StoreQueueEntry &e = *ref.find(seq);
+                e.addr = a;
+                e.size = size;
+                e.data = data;
+                e.addr_valid = e.data_valid = true;
+                e.poisoned = false;
+            } else if (r < 50 && !ref.q.empty()) {
+                const SeqNum seq = live();
+                q.markPoisoned(seq);
+                ref.find(seq)->poisoned = true;
+            } else if (r < 62 && !ref.q.empty()) {
+                ASSERT_EQ(q.popHead().seq, ref.q.front().seq);
+                ref.q.erase(ref.q.begin());
+            } else if (r < 65 && !ref.q.empty()) {
+                const SeqNum seq = live() - rng.below(2);
+                const auto removed = q.squashAfter(seq);
+                std::size_t n = 0;
+                while (!ref.q.empty() && ref.q.back().seq > seq) {
+                    ASSERT_LT(n, removed.size());
+                    ASSERT_EQ(removed[n++].seq, ref.q.back().seq);
+                    ref.q.pop_back();
+                }
+                ASSERT_EQ(n, removed.size());
+            } else {
+                const SeqNum load = 5 + rng.below(static_cast<
+                                            std::uint32_t>(next));
+                const Addr a = addr();
+                const std::uint8_t size = kSizes[rng.below(4)];
+                const auto got = q.forward(load, a, size);
+                const auto [want, visited] = ref.forward(load, a, size);
+                ASSERT_EQ(got.outcome, want.outcome)
+                    << "op " << op << " load " << load << " @" << a;
+                EXPECT_EQ(got.data, want.data);
+                EXPECT_EQ(got.store_seq, want.store_seq);
+                EXPECT_EQ(got.store_id.abs, want.store_id.abs);
+                searched += visited;
+                ASSERT_EQ(q.entriesSearched.value(), searched);
+            }
+            ASSERT_EQ(q.size(), ref.q.size());
+            if (!ref.q.empty()) {
+                ASSERT_EQ(q.head().seq, ref.q.front().seq);
+            }
+        }
+        EXPECT_GT(q.forwards.value(), 0u);
+        EXPECT_GT(q.blocks.value(), 0u);
+    }
 }
 
 TEST(StoreQueue, OverlapHelpers)

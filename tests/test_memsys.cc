@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
+#include "common/random.hh"
 #include "memsys/cache.hh"
 #include "memsys/hierarchy.hh"
 #include "memsys/main_memory.hh"
@@ -54,6 +57,72 @@ TEST(MainMemory, PartialOverwrite)
     m.write(0x100, 8, ~0ull);
     m.write(0x102, 2, 0);
     EXPECT_EQ(m.read(0x100, 8), 0xffffffff0000ffffull);
+}
+
+TEST(MainMemory, NegativeCachedPageSeesLaterWrite)
+{
+    MainMemory m;
+    const Addr a = 0x40000; // page 64: slot 0, like page 0
+    EXPECT_EQ(m.read(a, 8), 0u); // caches "no page" in the slot
+    m.write(a, 8, 0x0123456789abcdefull);
+    EXPECT_EQ(m.read(a, 8), 0x0123456789abcdefull);
+    EXPECT_EQ(m.read(0, 8), 0u); // evicts the slot
+    EXPECT_EQ(m.read(a + 2, 2), 0x89abu);
+}
+
+/**
+ * Seeded differential test of the page-pointer cache against a plain
+ * byte map. Pages are picked so several share each cache slot (index
+ * stride 64), and offsets cluster at page ends so accesses straddle
+ * pages; reads of untouched pages cache a null slot that a later
+ * write must replace.
+ */
+TEST(MainMemory, MatchesNaiveByteMapUnderRandomAccesses)
+{
+    static constexpr unsigned kSizes[] = {1, 2, 4, 8};
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Random rng(seed);
+        MainMemory m;
+        std::map<Addr, std::uint8_t> ref;
+        std::set<Addr> pages;
+        const auto addr = [&] {
+            const Addr page = 64 * rng.below(4) + rng.below(3);
+            const Addr off = rng.below(2)
+                                 ? rng.below(16)
+                                 : MainMemory::kPageBytes - 1 -
+                                       rng.below(12);
+            return (page << MainMemory::kPageShift) + off;
+        };
+        for (int op = 0; op < 6000; ++op) {
+            const std::uint64_t r = rng.below(100);
+            const Addr a = addr();
+            const unsigned size = kSizes[rng.below(4)];
+            if (r < 40) {
+                const std::uint64_t v = rng.next64();
+                m.write(a, size, v);
+                for (unsigned i = 0; i < size; ++i) {
+                    ref[a + i] = static_cast<std::uint8_t>(v >> (8 * i));
+                    pages.insert((a + i) >> MainMemory::kPageShift);
+                }
+            } else if (r < 99) {
+                std::uint64_t want = 0;
+                for (unsigned i = 0; i < size; ++i) {
+                    const auto it = ref.find(a + i);
+                    if (it != ref.end())
+                        want |= static_cast<std::uint64_t>(it->second)
+                                << (8 * i);
+                }
+                ASSERT_EQ(m.read(a, size), want)
+                    << "op " << op << " read " << a << "/" << size;
+            } else {
+                m.clear();
+                ref.clear();
+                pages.clear();
+            }
+            ASSERT_EQ(m.pageCount(), pages.size());
+        }
+    }
 }
 
 // ------------------------------------------------------------ Cache

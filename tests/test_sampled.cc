@@ -189,6 +189,36 @@ TEST(Sampled, FastForwardIsDeterministic)
                  rc.final_digest.hi == ra.final_digest.hi);
 }
 
+TEST(Sampled, TracingAnIntervalChangesNoDigestOrCheckpoint)
+{
+    // A traced interval ticks every cycle (the counter sampler turns
+    // skip-ahead off), so its skipped_cycles diagnostic reads 0. That
+    // must not reach the aggregate the checkpoints and digest carry.
+    const auto suite = workload::suiteProfile("SFP2K");
+    const core::ProcessorConfig cfg = core::srlConfig();
+
+    TempDir dp, dt;
+    runner::SampledOptions plain = planOpts();
+    plain.ckpt_dir = dp.path;
+    runner::SampledOptions traced = planOpts();
+    traced.ckpt_dir = dt.path;
+    traced.trace_interval = 1;
+
+    const auto rp =
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, plain);
+    const auto rt =
+        runner::runSampledPipelined(cfg, suite, kTotal, kSeed, traced);
+    ASSERT_FALSE(rt.trace_json.empty());
+
+    EXPECT_EQ(recordJson(rp.record), recordJson(rt.record));
+    EXPECT_EQ(rp.final_digest.lo, rt.final_digest.lo);
+    EXPECT_EQ(rp.final_digest.hi, rt.final_digest.hi);
+    ASSERT_EQ(rp.ckpts_saved.size(), rt.ckpts_saved.size());
+    for (std::size_t i = 0; i < rp.ckpts_saved.size(); ++i)
+        EXPECT_TRUE(slurp(rp.ckpts_saved[i]) == slurp(rt.ckpts_saved[i]))
+            << "checkpoint " << i << " differs";
+}
+
 TEST(Sampled, AllDetailPlanReproducesRunOneExactly)
 {
     // With ff=warm=0 and one detail interval covering the whole run,

@@ -1,123 +1,196 @@
 #!/usr/bin/env python3
-"""Performance regression gate for the bench JSON summaries.
+"""Same-host A/B performance gate over srlbench.
 
-Compares a freshly produced benchmark summary (bench binary run with
---json-out, e.g. BENCH_fig6.json) against the committed baseline and
-fails when model throughput (uops_per_s) regressed by more than the
-allowed fraction. Wall-clock noise is expected on shared CI runners, so
-the default tolerance is deliberately loose (15%); the gate exists to
-catch order-of-magnitude accidents (a debug build sneaking into CI, an
-accidentally quadratic scan), not 2% jitter.
+Usage (from anywhere inside the repository):
 
-Usage:
-    tools/bench_gate.py --fresh BENCH_fig6.json \
-        --baseline bench/baselines/BENCH_fig6.json [--max-regress 0.15]
+    python3 tools/bench_gate.py BASE
 
---fresh/--baseline may be repeated (in matching order) to gate several
-benchmarks in one invocation; every pair is checked and the gate fails
-if any of them regressed.
+BASE is a git revision: a SHA, a branch or a tag. The gate checks it
+out as a git worktree under .bench_build/ and runs every workload of
+BENCHMARK.json with `python3 srlbench/run.py --trace 0`, once in the
+base checkout and once in the working tree per round. The two sides
+take turns and the side that runs first alternates from round to
+round, so a drift in the host's speed falls on both alike. Round r
+gives both sides seed r + 1. Each side builds its own srlbench (the
+first run of a side builds it; the build is outside every metric).
 
-Rates are recomputed as uops / max(wall_s, --min-wall-s) on both sides:
-sub-millisecond measurements (a fully warm cache replay) are mostly
-timer noise, and the floor keeps those from gating on it.
+The gate fails when, on any workload:
+  - a run prints no result line or reports "correct": false;
+  - the working tree fails a larger share of its operations than the
+    base does;
+  - an end-to-end metric's median over the rounds is worse in the
+    working tree than in the base by more than that metric's `bound`
+    in BENCHMARK.json (a fraction of the base's median).
 
-Exit status: 0 = pass, 1 = regression, 2 = bad input.
+Both sides run on the same host within minutes of each other, so the
+verdict speaks of the code, not of the machine. There is no committed
+absolute number to compare against.
+
+Exit status: 0 = pass, 1 = fail, 2 = bad usage or BASE cannot be
+checked out.
 """
 
-import argparse
 import json
+import os
+import shutil
+import signal
+import statistics
+import subprocess
 import sys
 
+# At least ten pairs of runs, with one to spare: setup_s is one sample
+# per run, and its run-to-run spread on a shared 4-core host (IQR up to
+# ~38% of the median) is close to its 0.25 bound.
+ROUNDS = 11
+SECONDS = 6
 
-def load(path):
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", "-C", cwd, *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def checkout_base(rev):
+    """Path of a worktree holding @rev, made or reused."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}")
+    path = os.path.join(ROOT, ".bench_build", "base-" + sha[:12])
+    if os.path.isdir(path):
+        try:
+            if git("rev-parse", "HEAD", cwd=path) == sha:
+                return sha, path
+        except subprocess.CalledProcessError:
+            pass
+        shutil.rmtree(path)
+    git("worktree", "prune")
+    git("worktree", "add", "--detach", "--force", path, sha)
+    return sha, path
+
+
+def run_once(root, workload, seed):
+    """One srlbench run; its parsed result line, or None and a reason."""
+    cmd = [sys.executable, "srlbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    with subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as child:
+        try:
+            out, err = child.communicate()
+        except BaseException:
+            # run.py's SIGTERM handler can hang waiting for its child,
+            # so stop run.py, the benchmark and its daemon together.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            raise
+    lines = out.strip().splitlines()
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    for key in ("uops_per_s", "uops", "wall_s"):
-        if key not in data:
-            print(f"bench_gate: {path} missing '{key}'", file=sys.stderr)
-            sys.exit(2)
-    return data
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        tail = "\n".join(err.strip().splitlines()[-15:])
+        return None, "no result line (exit %d)\n%s" % (child.returncode,
+                                                      tail)
+    if result.get("correct") is not True:
+        return result, '"correct": false'
+    return result, None
 
 
-def effective_rate(data, min_wall_s):
-    """uops/s with the wall clock floored at min_wall_s.
-
-    Sub-millisecond phases (e.g. a fully warm cache replay) produce
-    rates whose denominator is mostly timer/scheduler noise; flooring
-    both sides of the comparison at the same minimum wall keeps the
-    gate meaningful for them without touching benches that run long
-    enough to time honestly.
-    """
-    wall = max(float(data["wall_s"]), min_wall_s)
-    return float(data["uops"]) / wall if wall > 0 else 0.0
+def worse_by(metric, base, tree):
+    """Fraction by which @tree is worse than @base (negative: better)."""
+    if base == 0:
+        return 0.0 if tree == base else float("inf")
+    change = (tree - base) / base
+    return -change if metric["better"] == "higher" else change
 
 
-def gate_one(fresh_path, base_path, max_regress, min_wall_s):
-    """Check one fresh/baseline pair; return True when it passes."""
-    fresh = load(fresh_path)
-    base = load(base_path)
+def spread(vals):
+    """Interquartile range over the median."""
+    if len(vals) < 2 or statistics.median(vals) == 0:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(vals, n=4)
+    return (q3 - q1) / statistics.median(vals)
 
-    if fresh["uops"] != base["uops"]:
-        print(f"bench_gate: workload mismatch: fresh simulated "
-              f"{fresh['uops']} uops, baseline {base['uops']} — "
-              f"refresh the baseline", file=sys.stderr)
-        sys.exit(2)
 
-    base_rate = effective_rate(base, min_wall_s)
-    fresh_rate = effective_rate(fresh, min_wall_s)
-    if base_rate <= 0:
-        print("bench_gate: baseline rate is zero", file=sys.stderr)
-        sys.exit(2)
-
-    ratio = fresh_rate / base_rate
-    verdict = "PASS" if ratio >= 1.0 - max_regress else "FAIL"
-    name = fresh.get("bench", fresh_path)
-    print(f"bench_gate: {name}: baseline {base_rate:,.0f} uops/s "
-          f"({base.get('commit', '?')[:12]}, {base.get('date', '?')}) "
-          f"-> fresh {fresh_rate:,.0f} uops/s "
-          f"({fresh.get('commit', '?')[:12]}): "
-          f"{(ratio - 1.0) * 100:+.1f}% [{verdict}, "
-          f"tolerance -{max_regress * 100:.0f}%]")
-    return verdict == "PASS"
+def gate_workload(name, metrics, results):
+    """Print one workload's comparison; return its list of failures."""
+    fails = []
+    share = {}
+    for side, runs in results.items():
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        failed = sum(r.get("failed", 0) for r in runs)
+        share[side] = failed / attempted if attempted else 0.0
+    print("%s: failed share base %.4f, tree %.4f" %
+          (name, share["base"], share["tree"]))
+    if share["tree"] > share["base"]:
+        fails.append("%s: failed-operation share %.4f > base %.4f" %
+                     (name, share["tree"], share["base"]))
+    print("  %-20s %12s %9s %12s %9s %6s" %
+          ("metric", "base median", "base IQR", "tree median", "worse by",
+           "bound"))
+    for m in metrics:
+        vals = {side: [r["metrics"][m["name"]]["value"] for r in runs
+                       if m["name"] in r["metrics"]]
+                for side, runs in results.items()}
+        if any(len(vals[side]) != len(results[side]) for side in vals):
+            print("  %-20s missing" % m["name"])
+            fails.append("%s %s: missing from a result line" %
+                         (name, m["name"]))
+            continue
+        base, tree = (statistics.median(vals[s]) for s in ("base", "tree"))
+        worse = worse_by(m, base, tree)
+        verdict = "FAIL" if worse > m["bound"] else "ok"
+        print("  %-20s %12.5g %8.1f%% %12.5g %+8.1f%% %5.0f%% %s" %
+              (m["name"], base, 100 * spread(vals["base"]), tree,
+               100 * worse, 100 * m["bound"], verdict))
+        if verdict == "FAIL":
+            fails.append("%s %s: %.1f%% worse than base (bound %.0f%%)" %
+                         (name, m["name"], 100 * worse, 100 * m["bound"]))
+    return fails
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fresh", required=True, action="append",
-                    help="JSON summary from this run (repeatable)")
-    ap.add_argument("--baseline", required=True, action="append",
-                    help="committed baseline JSON summary (repeatable, "
-                         "matched to --fresh in order)")
-    ap.add_argument("--max-regress", type=float, default=0.15,
-                    help="maximum allowed fractional throughput loss "
-                         "(default 0.15)")
-    ap.add_argument("--min-wall-s", type=float, default=0.001,
-                    help="floor applied to wall_s on both sides before "
-                         "computing rates, so sub-millisecond phases "
-                         "don't gate on timer noise (default 0.001)")
-    args = ap.parse_args()
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        print("usage: tools/bench_gate.py BASE", file=sys.stderr)
+        return 2
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        bench = json.load(f)
+    try:
+        sha, base_root = checkout_base(sys.argv[1])
+    except subprocess.CalledProcessError as e:
+        print("bench_gate: cannot check out %s: %s" %
+              (sys.argv[1], e.stderr.strip()), file=sys.stderr)
+        return 2
+    print("bench_gate: base %s in %s, %d rounds of %d s per workload" %
+          (sha[:12], os.path.relpath(base_root, ROOT), ROUNDS, SECONDS),
+          flush=True)
 
-    if len(args.fresh) != len(args.baseline):
-        print(f"bench_gate: {len(args.fresh)} --fresh but "
-              f"{len(args.baseline)} --baseline", file=sys.stderr)
-        sys.exit(2)
+    sides = {"base": base_root, "tree": ROOT}
+    fails = []
+    for w in bench["workloads"]:
+        name = w["name"]
+        results = {"base": [], "tree": []}
+        for r in range(ROUNDS):
+            order = ("base", "tree") if r % 2 == 0 else ("tree", "base")
+            for side in order:
+                result, problem = run_once(sides[side], name, r + 1)
+                if problem:
+                    fails.append("%s %s seed %d: %s" %
+                                 (name, side, r + 1, problem))
+                if result is not None:
+                    results[side].append(result)
+        if all(results.values()):
+            fails += gate_workload(name, bench["end_to_end"], results)
+        sys.stdout.flush()
 
-    ok = True
-    for fresh_path, base_path in zip(args.fresh, args.baseline):
-        ok = gate_one(fresh_path, base_path, args.max_regress,
-                      args.min_wall_s) and ok
-    if not ok:
-        print("bench_gate: model throughput regressed beyond the "
-              "tolerance; investigate before merging (or refresh the "
-              "baseline if the slowdown is an accepted trade)",
-              file=sys.stderr)
-        sys.exit(1)
-    sys.exit(0)
+    for line in fails:
+        print("bench_gate: FAIL " + line)
+    print("bench_gate: %s against %s" %
+          ("FAIL" if fails else "PASS", sha[:12]))
+    return 1 if fails else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
