@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "json.hh"
 #include "logging.hh"
 
 namespace srl
@@ -220,42 +221,6 @@ RunRecord::metric(const std::string &key) const
 namespace
 {
 
-/** JSON string escape (control chars, quote, backslash). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 appendStringMap(std::string &out,
                 const std::map<std::string, std::string> &m,
@@ -267,7 +232,8 @@ appendStringMap(std::string &out,
         out += first ? "\n" : ",\n";
         first = false;
         out += indent;
-        out += "\"" + jsonEscape(k) + "\": \"" + jsonEscape(v) + "\"";
+        out += "\"" + json::jsonEscape(k) + "\": \"" +
+               json::jsonEscape(v) + "\"";
     }
     if (!first) {
         out += "\n";
@@ -289,9 +255,11 @@ StatsReport::toJson() const
     for (const auto &r : runs) {
         out += first_run ? "\n" : ",\n";
         first_run = false;
-        out += "    {\n      \"name\": \"" + jsonEscape(r.name) + "\",\n";
+        out += "    {\n      \"name\": \"" + json::jsonEscape(r.name) +
+               "\",\n";
         if (!r.error.empty())
-            out += "      \"error\": \"" + jsonEscape(r.error) + "\",\n";
+            out += "      \"error\": \"" + json::jsonEscape(r.error) +
+                   "\",\n";
         out += "      \"meta\": ";
         appendStringMap(out, r.meta, "        ", "      ");
         out += ",\n      \"metrics\": {";
@@ -299,7 +267,8 @@ StatsReport::toJson() const
         for (const auto &[k, v] : r.metrics) {
             out += first_m ? "\n" : ",\n";
             first_m = false;
-            out += "        \"" + jsonEscape(k) + "\": " + formatDouble(v);
+            out += "        \"" + json::jsonEscape(k) +
+                   "\": " + formatDouble(v);
         }
         if (!first_m)
             out += "\n      ";
@@ -380,261 +349,76 @@ StatsReport::toCsv() const
 namespace
 {
 
-/**
- * Minimal recursive-descent JSON reader for the report schema.
- * Supports objects, arrays, strings, numbers, true/false/null; object
- * member order is surfaced to the caller so metric order survives the
- * round-trip.
- */
-class JsonReader
+[[noreturn]] void
+fail(const std::string &what)
 {
-  public:
-    explicit JsonReader(const std::string &text) : text_(text) {}
+    throw ParseError("stats JSON: " + what);
+}
 
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
+std::map<std::string, std::string>
+stringMapFrom(const json::Value &v)
+{
+    std::map<std::string, std::string> out;
+    for (const auto &[k, s] : v.members())
+        out[k] = s.asString();
+    return out;
+}
+
+/** Metrics keep member order; null is how toJson writes NaN. */
+std::vector<std::pair<std::string, double>>
+metricsFrom(const json::Value &v)
+{
+    std::vector<std::pair<std::string, double>> out;
+    out.reserve(v.members().size());
+    for (const auto &[k, m] : v.members())
+        out.emplace_back(k, m.isNull() ? std::nan("") : m.asNumber());
+    return out;
+}
+
+RunRecord
+runFrom(const json::Value &v)
+{
+    RunRecord r;
+    for (const auto &[k, f] : v.members()) {
+        if (k == "name")
+            r.name = f.asString();
+        else if (k == "error")
+            r.error = f.asString();
+        else if (k == "meta")
+            r.meta = stringMapFrom(f);
+        else if (k == "metrics")
+            r.metrics = metricsFrom(f);
+        else
+            fail("unknown run key '" + k + "'");
     }
-
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        throw ParseError("stats JSON: " + what + " at offset " +
-                         std::to_string(pos_));
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && peek() == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("raw control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            const char e = text_[pos_++];
-            switch (e) {
-              case '"':
-              case '\\':
-              case '/':
-                out += e;
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 'b':
-                out += '\b';
-                break;
-              case 'f':
-                out += '\f';
-                break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                long cp = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_ + i];
-                    int nibble;
-                    if (h >= '0' && h <= '9')
-                        nibble = h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        nibble = h - 'a' + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        nibble = h - 'A' + 10;
-                    else
-                        fail("bad \\u escape digit");
-                    cp = (cp << 4) | nibble;
-                }
-                pos_ += 4;
-                // Report strings only ever escape control chars.
-                out += static_cast<char>(cp & 0xff);
-                break;
-              }
-              default:
-                fail("bad escape");
-            }
-        }
-    }
-
-    double
-    parseNumber()
-    {
-        skipWs();
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start)
-            fail("expected number");
-        pos_ += static_cast<std::size_t>(end - start);
-        return v;
-    }
-
-    /** Parse a {"k": "v", ...} object of string values. */
-    std::map<std::string, std::string>
-    parseStringMap()
-    {
-        std::map<std::string, std::string> out;
-        expect('{');
-        if (consume('}'))
-            return out;
-        do {
-            const std::string k = parseString();
-            expect(':');
-            out[k] = parseString();
-        } while (consume(','));
-        expect('}');
-        return out;
-    }
-
-    /** Parse a {"k": number, ...} object preserving member order. */
-    std::vector<std::pair<std::string, double>>
-    parseMetricMap()
-    {
-        std::vector<std::pair<std::string, double>> out;
-        expect('{');
-        if (consume('}'))
-            return out;
-        do {
-            const std::string k = parseString();
-            expect(':');
-            skipWs();
-            double v;
-            if (text_.compare(pos_, 4, "null") == 0) {
-                pos_ += 4;
-                v = std::nan("");
-            } else {
-                v = parseNumber();
-            }
-            out.emplace_back(k, v);
-        } while (consume(','));
-        expect('}');
-        return out;
-    }
-
-    RunRecord
-    parseRun()
-    {
-        RunRecord r;
-        expect('{');
-        if (consume('}'))
-            return r;
-        do {
-            const std::string k = parseString();
-            expect(':');
-            if (k == "name") {
-                r.name = parseString();
-            } else if (k == "error") {
-                r.error = parseString();
-            } else if (k == "meta") {
-                r.meta = parseStringMap();
-            } else if (k == "metrics") {
-                r.metrics = parseMetricMap();
-            } else {
-                fail("unknown run key '" + k + "'");
-            }
-        } while (consume(','));
-        expect('}');
-        return r;
-    }
-
-    StatsReport
-    parseReport()
-    {
-        StatsReport rep;
-        expect('{');
-        bool saw_schema = false;
-        if (!consume('}')) {
-            do {
-                const std::string k = parseString();
-                expect(':');
-                if (k == "schema") {
-                    const std::string s = parseString();
-                    if (s != "srlsim-stats-v1")
-                        fail("unsupported schema '" + s + "'");
-                    saw_schema = true;
-                } else if (k == "meta") {
-                    rep.meta = parseStringMap();
-                } else if (k == "runs") {
-                    expect('[');
-                    if (!consume(']')) {
-                        do {
-                            rep.runs.push_back(parseRun());
-                        } while (consume(','));
-                        expect(']');
-                    }
-                } else {
-                    fail("unknown report key '" + k + "'");
-                }
-            } while (consume(','));
-            expect('}');
-        }
-        if (!saw_schema)
-            fail("missing schema marker");
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing garbage");
-        return rep;
-    }
-
-  private:
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+    return r;
+}
 
 } // namespace
 
 StatsReport
 StatsReport::fromJson(const std::string &text)
 {
-    JsonReader reader(text);
-    return reader.parseReport();
+    const json::Value doc = json::Value::parse(text);
+    StatsReport rep;
+    bool saw_schema = false;
+    for (const auto &[k, v] : doc.members()) {
+        if (k == "schema") {
+            if (v.asString() != "srlsim-stats-v1")
+                fail("unsupported schema '" + v.asString() + "'");
+            saw_schema = true;
+        } else if (k == "meta") {
+            rep.meta = stringMapFrom(v);
+        } else if (k == "runs") {
+            for (const auto &r : v.items())
+                rep.runs.push_back(runFrom(r));
+        } else {
+            fail("unknown report key '" + k + "'");
+        }
+    }
+    if (!saw_schema)
+        fail("missing schema marker");
+    return rep;
 }
 
 } // namespace stats

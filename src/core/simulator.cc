@@ -49,6 +49,26 @@ figure7Thresholds()
     return kThresholds;
 }
 
+SrlRatios
+srlRatios(const ProcessorStats &s)
+{
+    const auto ratio = [](std::uint64_t part, std::uint64_t whole,
+                          double scale) {
+        return whole ? scale * static_cast<double>(part) /
+                           static_cast<double>(whole)
+                     : 0.0;
+    };
+    SrlRatios q;
+    q.pct_stores_redone =
+        ratio(s.redone_stores, s.committed_stores, 100.0);
+    q.pct_miss_dep_stores =
+        ratio(s.poisoned_stores, s.committed_stores, 100.0);
+    q.pct_miss_dep_uops = ratio(s.slice_uops, s.committed_uops, 100.0);
+    q.srl_stalls_per_10k =
+        ratio(s.srl_stalled_loads, s.committed_uops, 1e4);
+    return q;
+}
+
 RunResult
 runOne(const ProcessorConfig &config,
        const workload::SuiteProfile &suite, std::uint64_t num_uops,
@@ -113,25 +133,11 @@ runOne(const ProcessorConfig &config,
     r.stats = s;
 
     if (config.model == StqModel::kSrl) {
-        const auto stores = s.committed_stores;
-        r.pct_stores_redone =
-            stores ? 100.0 * static_cast<double>(s.redone_stores) /
-                         static_cast<double>(stores)
-                   : 0.0;
-        r.pct_miss_dep_stores =
-            stores ? 100.0 * static_cast<double>(s.poisoned_stores) /
-                         static_cast<double>(stores)
-                   : 0.0;
-        r.pct_miss_dep_uops =
-            s.committed_uops
-                ? 100.0 * static_cast<double>(s.slice_uops) /
-                      static_cast<double>(s.committed_uops)
-                : 0.0;
-        r.srl_stalls_per_10k =
-            s.committed_uops
-                ? 1e4 * static_cast<double>(s.srl_stalled_loads) /
-                      static_cast<double>(s.committed_uops)
-                : 0.0;
+        const SrlRatios q = srlRatios(s);
+        r.pct_stores_redone = q.pct_stores_redone;
+        r.pct_miss_dep_stores = q.pct_miss_dep_stores;
+        r.pct_miss_dep_uops = q.pct_miss_dep_uops;
+        r.srl_stalls_per_10k = q.srl_stalls_per_10k;
         r.pct_time_srl_occupied = cpu.srlOccupancy().percentOccupied();
         for (const auto t : figure7Thresholds())
             r.srl_occupancy_above[t] = cpu.srlOccupancy().percentAbove(t);

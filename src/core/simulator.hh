@@ -124,6 +124,18 @@ RunResult runOne(const ProcessorConfig &config,
 /** Occupancy thresholds reported in Figure 7. */
 const std::vector<std::uint64_t> &figure7Thresholds();
 
+/** The Table 3 ratios of an SRL run, each 0 when its base is 0. */
+struct SrlRatios
+{
+    double pct_stores_redone = 0.0;
+    double pct_miss_dep_stores = 0.0;
+    double pct_miss_dep_uops = 0.0;
+    double srl_stalls_per_10k = 0.0;
+};
+
+/** Derive the Table 3 ratios from a run's (or an aggregate's) stats. */
+SrlRatios srlRatios(const ProcessorStats &s);
+
 } // namespace core
 } // namespace srl
 

@@ -1,8 +1,9 @@
 #include "obs/export.hh"
 
-#include <cstdio>
 #include <unordered_map>
 #include <vector>
+
+#include "common/json.hh"
 
 namespace srl
 {
@@ -70,31 +71,6 @@ argNames(EventKind k)
         break;
     }
     return {"a", "b", "c"};
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char ch : s) {
-        switch (ch) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
 }
 
 std::string
@@ -230,7 +206,8 @@ toChromeTrace(const Recording &rec)
     const auto &names = rec.sampler.gaugeNames();
     for (const auto &sample : rec.sampler.samples()) {
         for (std::size_t g = 0; g < names.size(); ++g) {
-            events.push_back("{\"name\":\"" + jsonEscape(names[g]) +
+            events.push_back("{\"name\":\"" +
+                             json::jsonEscape(names[g]) +
                              "\",\"ph\":\"C\",\"ts\":" +
                              u64(sample.cycle) +
                              ",\"pid\":1,\"tid\":0,\"args\":{\"value\":" +
@@ -242,8 +219,8 @@ toChromeTrace(const Recording &rec)
                       "  \"otherData\": {\n"
                       "    \"schema\": \"srlsim-trace-v1\",\n";
     for (const auto &[k, v] : rec.meta) {
-        out += "    \"" + jsonEscape(k) + "\": \"" + jsonEscape(v) +
-               "\",\n";
+        out += "    \"" + json::jsonEscape(k) + "\": \"" +
+               json::jsonEscape(v) + "\",\n";
     }
     out += "    \"events_accepted\": \"" + u64(rec.ring.accepted()) +
            "\",\n";

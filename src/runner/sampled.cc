@@ -128,26 +128,11 @@ aggregateRecord(const core::ProcessorConfig &config,
     rec.set("slice_uops", static_cast<double>(s.slice_uops));
 
     if (config.model == core::StqModel::kSrl) {
-        const auto stores = s.committed_stores;
-        rec.set("pct_stores_redone",
-                stores ? 100.0 * static_cast<double>(s.redone_stores) /
-                             static_cast<double>(stores)
-                       : 0.0);
-        rec.set("pct_miss_dep_stores",
-                stores ? 100.0 *
-                             static_cast<double>(s.poisoned_stores) /
-                             static_cast<double>(stores)
-                       : 0.0);
-        rec.set("pct_miss_dep_uops",
-                s.committed_uops
-                    ? 100.0 * static_cast<double>(s.slice_uops) /
-                          static_cast<double>(s.committed_uops)
-                    : 0.0);
-        rec.set("srl_stalls_per_10k",
-                s.committed_uops
-                    ? 1e4 * static_cast<double>(s.srl_stalled_loads) /
-                          static_cast<double>(s.committed_uops)
-                    : 0.0);
+        const core::SrlRatios q = core::srlRatios(s);
+        rec.set("pct_stores_redone", q.pct_stores_redone);
+        rec.set("pct_miss_dep_stores", q.pct_miss_dep_stores);
+        rec.set("pct_miss_dep_uops", q.pct_miss_dep_uops);
+        rec.set("srl_stalls_per_10k", q.srl_stalls_per_10k);
         rec.set("pct_time_srl_occupied",
                 meta.occupancy.percentOccupied());
         for (const auto t : core::figure7Thresholds())

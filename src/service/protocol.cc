@@ -1,6 +1,7 @@
 #include "service/protocol.hh"
 
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 
 namespace srl
 {
@@ -99,6 +100,23 @@ PointSpec::toJson() const
     return v;
 }
 
+namespace
+{
+
+/** Optional count field narrowed to unsigned; 0 when absent. */
+unsigned
+getUnsigned(const json::Value &v, const char *key)
+{
+    const std::uint64_t n = v.getU64(key, 0);
+    if (n > std::numeric_limits<unsigned>::max())
+        throw stats::ParseError(std::string("service point: ") + key +
+                                " " + std::to_string(n) +
+                                " is out of range");
+    return static_cast<unsigned>(n);
+}
+
+} // namespace
+
 PointSpec
 PointSpec::fromJson(const json::Value &v)
 {
@@ -110,17 +128,24 @@ PointSpec::fromJson(const json::Value &v)
     p.suite = v.getString("suite", "SFP2K");
     p.uops = v.at("uops").asU64();
     if (const json::Value *seed = v.find("run_seed")) {
-        if (seed->isString())
-            p.run_seed = std::strtoull(seed->asString().c_str(),
-                                       nullptr, 10);
-        else
+        if (seed->isString()) {
+            const std::string &s = seed->asString();
+            const char *end = s.data() + s.size();
+            const auto [ptr, ec] =
+                std::from_chars(s.data(), end, p.run_seed);
+            if (ec != std::errc() || ptr != end)
+                throw stats::ParseError(
+                    "service point: run_seed '" + s +
+                    "' is not a decimal 64-bit integer");
+        } else {
             p.run_seed = seed->asU64();
+        }
     }
     p.occupancy_series = v.getBool("occupancy_series", true);
-    p.srl_depth = static_cast<unsigned>(v.getU64("srl_depth", 0));
-    p.lcf_entries = static_cast<unsigned>(v.getU64("lcf_entries", 0));
+    p.srl_depth = getUnsigned(v, "srl_depth");
+    p.lcf_entries = getUnsigned(v, "lcf_entries");
     p.lcf_hash = v.getString("lcf_hash", "");
-    p.stq_entries = static_cast<unsigned>(v.getU64("stq_entries", 0));
+    p.stq_entries = getUnsigned(v, "stq_entries");
     p.ff_uops = v.getU64("ff_uops", 0);
     p.warm_uops = v.getU64("warm_uops", 0);
     p.detail_uops = v.getU64("detail_uops", 0);

@@ -39,9 +39,9 @@
 #include <cstdint>
 #include <string>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "core/config.hh"
-#include "service/json.hh"
 #include "workload/profile.hh"
 
 namespace srl

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/circular_fifo.hh"
@@ -298,6 +301,34 @@ TEST(StatsReport, FromJsonRejectsGarbage)
         stats::ParseError);
     EXPECT_THROW(stats::StatsReport::fromJson(good + "x"),
                  stats::ParseError);
+}
+
+// tests/data/srlsim-stats-v1.json was written by toJson and is
+// committed, so a change to the stats format (on either side) shows up
+// here as a diff against a file, not only as a self-consistent round
+// trip.
+TEST(StatsReport, CommittedFixtureRoundTripsByteForByte)
+{
+    std::ifstream in(SRLSIM_TEST_DATA_DIR "/srlsim-stats-v1.json",
+                     std::ios::binary);
+    ASSERT_TRUE(in) << "missing fixture";
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string fixture = buf.str();
+
+    const stats::StatsReport rep = stats::StatsReport::fromJson(fixture);
+    EXPECT_EQ(rep.toJson(), fixture);
+
+    EXPECT_EQ(rep.meta.at("note"),
+              "quote \" backslash \\ newline \n tab \t ctl \x01 "
+              "caf\xc3\xa9");
+    ASSERT_EQ(rep.runs.size(), 2u);
+    EXPECT_TRUE(std::isnan(rep.runs[0].metric("undefined_ratio")));
+    EXPECT_EQ(rep.runs[0].metric("overflow"), HUGE_VAL);
+    EXPECT_EQ(rep.runs[0].metric("underflow"), -HUGE_VAL);
+    EXPECT_EQ(rep.runs[0].metric("tiny"), 4.9e-324);
+    EXPECT_EQ(rep.runs[0].meta.at("run_seed"), "9129838320742759465");
+    EXPECT_EQ(rep.runs[1].error, "run exploded:\nstack\tdump");
 }
 
 TEST(StatsReport, CsvHasUnionHeaderAndStableCells)

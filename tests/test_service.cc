@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -27,10 +28,10 @@
 #include <unistd.h>
 
 #include "common/chash.hh"
+#include "common/json.hh"
 #include "core/config.hh"
 #include "runner/sweep.hh"
 #include "service/client.hh"
-#include "service/json.hh"
 #include "service/protocol.hh"
 #include "service/result_cache.hh"
 #include "service/server.hh"
@@ -41,7 +42,6 @@ namespace
 {
 
 using namespace srl;
-namespace json = srl::service::json;
 
 // Small enough that a simulation takes milliseconds; the byte-identity
 // assertions don't care how long the runs are.
@@ -607,6 +607,33 @@ TEST(ServiceJson, RejectsMalformedInput)
     EXPECT_THROW(json::Value::parse(deep), json::ParseError);
 }
 
+TEST(ServiceJson, BmpEscapesDecodeToUtf8)
+{
+    EXPECT_EQ(json::Value::parse("\"caf\\u00e9 \\u4e2d\"").asString(),
+              "\x63\x61\x66\xc3\xa9\x20\xe4\xb8\xad");
+    EXPECT_EQ(json::Value::parse("\"\\u0041\\u0001\"").asString(),
+              "A\x01");
+}
+
+TEST(ServiceJson, SurrogatePairDecodesToOneUtf8Sequence)
+{
+    EXPECT_EQ(json::Value::parse("\"\\ud83d\\ude00\"").asString(),
+              "\xf0\x9f\x98\x80");
+}
+
+TEST(ServiceJson, LoneOrReversedSurrogatesThrow)
+{
+    EXPECT_THROW(json::Value::parse("\"\\ud83d\""), json::ParseError);
+    EXPECT_THROW(json::Value::parse("\"\\ud83dx\""), json::ParseError);
+    EXPECT_THROW(json::Value::parse("\"\\ud83d\\u0041\""),
+                 json::ParseError);
+    EXPECT_THROW(json::Value::parse("\"\\ude00\""), json::ParseError);
+    EXPECT_THROW(json::Value::parse("\"\\ude00\\ud83d\""),
+                 json::ParseError);
+    EXPECT_THROW(json::Value::parse("\"\\ud83d\\ude0\""),
+                 json::ParseError);
+}
+
 TEST(ServiceJson, TypedAccessorsThrowOnKindMismatch)
 {
     const json::Value v = json::Value::parse("{\"a\":1}");
@@ -666,6 +693,74 @@ TEST(ServiceProtocol, PointSpecJsonRoundTrip)
     EXPECT_EQ(plain_wire.find("ff_uops"), std::string::npos);
     EXPECT_EQ(plain_wire.find("shard"), std::string::npos);
     EXPECT_FALSE(plain.sampled());
+}
+
+/** PointSpec::fromJson on a point with @p extra fields. */
+service::PointSpec
+pointFrom(const std::string &extra)
+{
+    return service::PointSpec::fromJson(
+        json::Value::parse("{\"name\":\"p\"," + extra + "}"));
+}
+
+TEST(ServiceProtocol, CountBeyondUint64Throws)
+{
+    EXPECT_THROW(pointFrom("\"uops\":1e999"), stats::ParseError);
+    EXPECT_THROW(pointFrom("\"uops\":18446744073709551616"),
+                 stats::ParseError);
+    EXPECT_EQ(pointFrom("\"uops\":9007199254740992").uops,
+              9007199254740992u);
+}
+
+TEST(ServiceProtocol, FractionalCountThrows)
+{
+    EXPECT_THROW(pointFrom("\"uops\":2.5"), stats::ParseError);
+    EXPECT_THROW(pointFrom("\"uops\":1000,\"ff_uops\":0.5"),
+                 stats::ParseError);
+    EXPECT_THROW(pointFrom("\"uops\":-1"), stats::ParseError);
+    EXPECT_EQ(pointFrom("\"uops\":2.5e3").uops, 2500u);
+}
+
+TEST(ServiceProtocol, NarrowedFieldsRejectValuesAboveUint32)
+{
+    for (const char *key : {"srl_depth", "lcf_entries", "stq_entries"}) {
+        const std::string field = std::string("\"") + key + "\":";
+        EXPECT_THROW(pointFrom("\"uops\":1," + field + "4294967297"),
+                     stats::ParseError)
+            << key;
+        EXPECT_NO_THROW(pointFrom("\"uops\":1," + field + "4294967295"))
+            << key;
+    }
+    EXPECT_EQ(pointFrom("\"uops\":1,\"srl_depth\":4294967295").srl_depth,
+              4294967295u);
+}
+
+TEST(ServiceProtocol, StringRunSeedMustBeADecimalU64)
+{
+    EXPECT_THROW(pointFrom("\"uops\":1,\"run_seed\":\"12abc\""),
+                 stats::ParseError);
+    for (const char *bad : {"", "-1", "+1", " 1", "0x10",
+                            "18446744073709551616"}) {
+        EXPECT_THROW(pointFrom(std::string("\"uops\":1,\"run_seed\":\"") +
+                               bad + "\""),
+                     stats::ParseError)
+            << "'" << bad << "'";
+    }
+    EXPECT_EQ(
+        pointFrom("\"uops\":1,\"run_seed\":\"18446744073709551615\"")
+            .run_seed,
+        18446744073709551615u);
+}
+
+TEST(ServiceProtocol, OptionalFieldOfTheWrongKindThrows)
+{
+    EXPECT_THROW(pointFrom("\"uops\":1,\"srl_depth\":\"512\""),
+                 stats::ParseError);
+    EXPECT_THROW(pointFrom("\"uops\":1,\"occupancy_series\":\"no\""),
+                 stats::ParseError);
+    EXPECT_THROW(pointFrom("\"uops\":1,\"base\":7"), stats::ParseError);
+    EXPECT_THROW(pointFrom("\"uops\":1,\"ff_uops\":null"),
+                 stats::ParseError);
 }
 
 TEST(ServiceProtocol, MaterializationMatchesNamedBuilders)
@@ -1313,6 +1408,63 @@ TEST(StatsParserHardening, SingleByteCorruptionNeverCrashes)
         }
     }
     SUCCEED();
+}
+
+/** fromJson must reject @p doc with ParseError, no other exception. */
+void
+expectStatsParseError(const std::string &doc)
+{
+    EXPECT_THROW(stats::StatsReport::fromJson(doc), stats::ParseError)
+        << doc;
+}
+
+const std::string kStatsHead = "{\"schema\":\"srlsim-stats-v1\",";
+const std::string kOneRunMetrics = kStatsHead +
+                                   "\"runs\":[{\"name\":\"r\","
+                                   "\"metrics\":{\"ipc\":";
+
+TEST(StatsParserHardening, RejectsValuesOfTheWrongKind)
+{
+    // Control: the same document with a number metric parses.
+    EXPECT_EQ(stats::StatsReport::fromJson(kOneRunMetrics + "1.5}}]}")
+                  .runs.at(0)
+                  .metric("ipc"),
+              1.5);
+
+    expectStatsParseError(kOneRunMetrics + "\"1.5\"}}]}"); // string metric
+    expectStatsParseError(kOneRunMetrics + "true}}]}");    // bool metric
+    expectStatsParseError(kStatsHead + "\"meta\":{\"seed\":42}}");
+    expectStatsParseError(kStatsHead + "\"runs\":{}}");     // not an array
+    expectStatsParseError(kStatsHead + "\"runs\":[7]}");    // not an object
+    expectStatsParseError(kStatsHead + "\"runs\":[{\"name\":7}]}");
+    expectStatsParseError("{\"schema\":1,\"runs\":[]}");
+}
+
+TEST(StatsParserHardening, RejectsUnknownKeysAndOverDeepNesting)
+{
+    expectStatsParseError(kStatsHead + "\"extra\":1}");
+    expectStatsParseError(kStatsHead + "\"runs\":[{\"nom\":\"r\"}]}");
+    expectStatsParseError(kStatsHead + "\"runs\":[" + std::string(100, '[') +
+                          std::string(100, ']') + "]}");
+    std::string deep_metric = kOneRunMetrics;
+    for (int i = 0; i < 100; ++i)
+        deep_metric += "{\"x\":";
+    expectStatsParseError(deep_metric + "1" + std::string(100, '}') +
+                          "}}]}");
+}
+
+TEST(StatsParserHardening, RejectsNumbersOutsideStrictJsonGrammar)
+{
+    // toJson writes NaN as null and infinities as +-1e999, so strict
+    // grammar loses nothing it writes; what strtod alone would also
+    // take is not JSON.
+    EXPECT_EQ(stats::StatsReport::fromJson(kOneRunMetrics + "-1e999}}]}")
+                  .runs.at(0)
+                  .metric("ipc"),
+              -HUGE_VAL);
+    for (const char *bad : {"0x1p3", "inf", "nan", "+1.5", "01.5", ".5",
+                            "1.", "1e"})
+        expectStatsParseError(kOneRunMetrics + bad + "}}]}");
 }
 
 TEST(StatsParserHardening, RejectsBadEscapesAndRawControlChars)
